@@ -270,7 +270,6 @@ func BenchmarkPortfolio(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(s.II), "II")
-				b.ReportMetric(float64(stats.Cancelled), "cancelled")
 				b.ReportMetric(float64(stats.IIsTried), "iis-tried")
 			})
 		}

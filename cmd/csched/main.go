@@ -25,10 +25,6 @@
 // the graceful-degradation ladder, reporting which rung won; -faults
 // SPEC arms the deterministic fault-injection plane (testing only).
 //
-// -speculate N races up to N rungs of the initiation-interval ladder
-// on spare hardware threads (-1 means GOMAXPROCS); the schedule is
-// bit-identical to the sequential search for every N.
-//
 // When compilation fails, csched exits non-zero and prints the pass
 // pipeline's structured diagnostic: the failure kind (schedule,
 // invalid-input, cancelled, deadline-exceeded, internal), the kernel,
@@ -108,7 +104,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	cycleOrder := fs.Bool("cycle-order", false, "ablation: schedule in cycle order instead of operation order")
 	noCost := fs.Bool("no-cost-heuristic", false, "ablation: disable the equation-1 unit-ordering heuristic")
 	portfolio := fs.Int("portfolio", 0, "race the ablation portfolio over N workers (0 disables, -1 means GOMAXPROCS); the result is deterministic for any N")
-	speculate := fs.Int("speculate", 0, "race up to N rungs of the interval ladder speculatively (0/1 sequential, -1 means GOMAXPROCS); the schedule is bit-identical for any N")
 	timeout := fs.Duration("timeout", 0, "bound the whole compilation; on expiry csched exits 3 with a structured deadline-exceeded report")
 	degrade := fs.Bool("degrade", false, "on schedule-search failure, retry down the graceful-degradation ladder (cheaper budgets, relaxed interval cap, greedy pipeline)")
 	faults := fs.String("faults", "", "arm the deterministic fault-injection plane (testing), e.g. \"seed=7;site=pass,label=place,action=panic\"")
@@ -167,10 +162,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	opts := commsched.Options{CycleOrder: *cycleOrder, NoCostHeuristic: *noCost}
-	if *speculate < 0 {
-		*speculate = runtime.GOMAXPROCS(0)
-	}
-	opts.Speculate = *speculate
 	var rec *commsched.TraceRecorder
 	if *trace != "" {
 		rec = commsched.NewTraceRecorder()

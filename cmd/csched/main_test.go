@@ -86,10 +86,11 @@ func TestListExitsZero(t *testing.T) {
 
 func TestUsageErrorsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
-		{},                           // no kernel at all
-		{"-arch", "nonexistent"},     // unknown architecture
-		{"-kernel", "NoSuchKernel"},  // unknown kernel
-		{"-kernel", "DCT", "-badfl"}, // unknown flag
+		{},                                    // no kernel at all
+		{"-arch", "nonexistent"},              // unknown architecture
+		{"-kernel", "NoSuchKernel"},           // unknown kernel
+		{"-kernel", "DCT", "-badfl"},          // unknown flag
+		{"-kernel", "DCT", "-speculate", "8"}, // removed flag
 	} {
 		if code, _, _ := runCLI(t, args...); code != 2 {
 			t.Errorf("args %v exited %d, want 2", args, code)

@@ -88,6 +88,30 @@ func TestInjectedPortfolioPanicContained(t *testing.T) {
 	}
 }
 
+// TestPortfolioRunsNoCellAboveWinner pins that the race never starts a
+// cell above the winning interval: a Panic rule at the portfolio site
+// armed one past the number of cells at or below the winning interval
+// must never fire, even with more workers than variants.
+func TestPortfolioRunsNoCellAboveWinner(t *testing.T) {
+	k := kernels.ByName("DCT").MustKernel()
+	m := machine.Distributed()
+	_, stats, err := CompilePortfolio(nil, k, m, Options{}, PortfolioOptions{Workers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := (stats.WinnerII - stats.MinII + 1) * len(stats.Variants)
+	plane := faultinject.New(1, faultinject.Rule{
+		Site: faultinject.SitePortfolio, Nth: uint64(cells + 1), Action: faultinject.Panic,
+	})
+	s, _, err := CompilePortfolio(nil, k, m, Options{Faults: plane}, PortfolioOptions{Workers: 8})
+	if err != nil {
+		t.Fatalf("a cell above the winning interval ran: %v", err)
+	}
+	if s.II != stats.WinnerII {
+		t.Fatalf("II %d under an unfired rule, want %d", s.II, stats.WinnerII)
+	}
+}
+
 // TestInjectedSolverExhaustFailsSchedule pins the Exhaust action at the
 // solver site: with every permutation budget forced to zero, kernels
 // needing real permutation work stop scheduling, and the failure stays

@@ -12,10 +12,9 @@ import (
 // unsatisfiable, so the solver never re-proves a dead end. The same
 // permutation state recurs constantly — across the placement retries of
 // one interval attempt (an operation rejected at one cycle re-poses
-// many of the same per-cycle solves at the next), across initiation
-// intervals of the sequential ladder, and across the rungs of the
-// speculative ladder — and a failed solve may burn thousands of DFS
-// steps re-deriving the same exhaustion each time.
+// many of the same per-cycle solves at the next) and across the
+// initiation intervals of the ladder — and a failed solve may burn
+// thousands of DFS steps re-deriving the same exhaustion each time.
 //
 // Soundness rests on two rules. First, the signature covers the
 // complete solve problem: a domain tag (writes vs reads), every
@@ -97,13 +96,12 @@ func (s *memoSig) key() memoKey {
 // memo near 32 MiB on a degenerate compilation.
 const memoEntryCap = 1 << 21
 
-// permMemo is the shared infeasibility memo of one compilation. It is
-// safe for concurrent use: the sequential ladder pays one uncontended
-// lock per failed or memoized solve, and the speculative ladder's rungs
-// share dead ends across worker goroutines. Sharing across rungs never
-// changes any rung's outcome — an entry only ever replaces a search
-// with the failure it was bound to reach — so schedules stay
-// bit-identical no matter which rungs raced or when they published.
+// permMemo is the infeasibility memo of one compilation. Each memo has
+// one owner goroutine — the ladder, or one portfolio cell — so the
+// mutex costs one uncontended lock per failed or memoized solve; it
+// stays so that the memo is safe to share if a caller ever does. An
+// entry only ever replaces a search with the failure it was bound to
+// reach, so sharing could never change an interval's outcome.
 type permMemo struct {
 	mu   sync.Mutex
 	seen map[memoKey]struct{}

@@ -7,10 +7,9 @@ import (
 )
 
 // Pool is the bounded worker pool shared by every parallel layer of the
-// compiler: CompilePortfolio's (interval, variant) race, the speculative
-// initiation-interval ladder (Options.Speculate), and the daemon's
-// admission control all draw slots from one Pool, so a process-wide
-// parallelism budget holds no matter how the layers nest.
+// compiler: CompilePortfolio's per-interval variant race and the
+// daemon's admission control draw slots from one Pool, so a
+// process-wide parallelism budget holds no matter how the layers nest.
 //
 // The Pool is a counting semaphore, not a goroutine registry: Acquire
 // blocks for a slot, TryAcquire never blocks, and Release returns one.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,10 +17,10 @@ import (
 // This file implements portfolio compilation: the §4.6 ablations show
 // that no single heuristic setting wins on every kernel/machine pair,
 // so instead of committing to one configuration, CompilePortfolio races
-// a portfolio of them and splits the initiation-interval search across
-// a bounded pool of workers, cancelling attempts that can no longer
-// win. Selection is deterministic — independent of worker count and
-// scheduling order — so parallel runs are repeatable.
+// a portfolio of them at each initiation interval in turn, spreading
+// one interval's variants across a bounded pool of workers. Selection
+// is deterministic — independent of worker count and scheduling order
+// — so parallel runs are repeatable.
 
 // Variant is one racing configuration of the portfolio: a named
 // pipeline configuration realized as full scheduler options.
@@ -62,35 +61,32 @@ func DefaultVariants(base Options) []Variant {
 // options.
 type PortfolioOptions struct {
 	// Workers bounds the goroutine pool; 0 or less means GOMAXPROCS.
+	// One interval races at most len(Variants) cells, so workers
+	// beyond the variant count add nothing.
 	Workers int
 	// Variants overrides the racing lineup; nil means
 	// DefaultVariants(base).
 	Variants []Variant
 	// Pool, when non-nil, is the shared worker pool the race draws its
 	// extra workers from (the caller's goroutine always races without a
-	// slot). Share one Pool between the daemon, portfolio races, and
-	// speculative interval searches to bound total parallelism
-	// machine-wide; nil gives this race a private pool of Workers
-	// slots. Like Workers, the pool never affects the result — only
-	// how fast it arrives.
+	// slot). Share one Pool between the daemon and portfolio races to
+	// bound total parallelism machine-wide; nil gives this race a
+	// private pool of Workers slots. Like Workers, the pool never
+	// affects the result — only how fast it arrives.
 	Pool *Pool
 }
 
 // VariantStats instruments one configuration's share of a portfolio
-// run. Wall times and cancellation counts depend on scheduling timing
-// and vary between runs; everything derived from completed attempts
-// (BestII, Copies) is deterministic.
+// run. Wall times depend on scheduling timing and vary between runs;
+// every other field is deterministic.
 type VariantStats struct {
 	Name string
 	// Pipeline is the variant's pipeline shape.
 	Pipeline PipelineConfig
 	// IIsTried counts single-interval attempts run to completion.
 	IIsTried int
-	// Cancelled counts attempts killed mid-flight because a smaller
-	// interval had already been proven elsewhere.
-	Cancelled int
-	// BestII is the smallest interval this variant scheduled, 0 when it
-	// never succeeded; Copies is its copy count at BestII.
+	// BestII is the winning interval when this variant scheduled
+	// there, 0 otherwise; Copies is its copy count at BestII.
 	BestII int
 	Copies int
 	// Wall is the cumulative scheduling time across this variant's
@@ -108,11 +104,10 @@ type PortfolioStats struct {
 	// nothing scheduled; WinnerII is the winning interval.
 	Winner   int
 	WinnerII int
-	// IIsTried and Cancelled total the per-variant counters.
-	IIsTried  int
-	Cancelled int
-	Wall      time.Duration
-	Variants  []VariantStats
+	// IIsTried totals the per-variant counters.
+	IIsTried int
+	Wall     time.Duration
+	Variants []VariantStats
 	// Passes aggregates per-pass counters and wall time across every
 	// attempt of every variant (lower, regalloc, and verify run once,
 	// on the parent compilation), in canonical pipeline order. Pass
@@ -130,11 +125,11 @@ func (p *PortfolioStats) WinnerName() string {
 
 // String renders a one-line-per-variant summary.
 func (p *PortfolioStats) String() string {
-	s := fmt.Sprintf("portfolio: %d workers, minII=%d, winner=%s II=%d, %d attempts (%d cancelled), %v",
-		p.Workers, p.MinII, p.WinnerName(), p.WinnerII, p.IIsTried, p.Cancelled, p.Wall.Round(time.Microsecond))
+	s := fmt.Sprintf("portfolio: %d workers, minII=%d, winner=%s II=%d, %d attempts, %v",
+		p.Workers, p.MinII, p.WinnerName(), p.WinnerII, p.IIsTried, p.Wall.Round(time.Microsecond))
 	for _, v := range p.Variants {
-		s += fmt.Sprintf("\n  %-14s %-40s tried=%-3d cancelled=%-3d bestII=%-3d copies=%-3d %v",
-			v.Name, v.Pipeline, v.IIsTried, v.Cancelled, v.BestII, v.Copies, v.Wall.Round(time.Microsecond))
+		s += fmt.Sprintf("\n  %-14s %-40s tried=%-3d bestII=%-3d copies=%-3d %v",
+			v.Name, v.Pipeline, v.IIsTried, v.BestII, v.Copies, v.Wall.Round(time.Microsecond))
 	}
 	return s
 }
@@ -151,34 +146,34 @@ func portfolioCtxError(ctx context.Context, k *ir.Kernel, m *machine.Machine) *C
 	return ce
 }
 
-// task is one cell of the (interval, variant) search grid.
-type task struct {
-	ii int
-	vi int
-}
-
-// won is one successful grid cell.
-type won struct {
-	eng    *engine
-	copies int
+// cell is one (interval, variant) attempt of the race, written only by
+// the worker that ran it and read by the walk after the fan-out joins.
+type cell struct {
+	eng     *engine
+	aborted bool
+	err     error
+	ps      PassStats
+	rec     *obs.Recorder // private trace, spliced by the walk
+	wall    time.Duration
 }
 
 // CompilePortfolio schedules kernel k onto machine m by racing a
 // portfolio of scheduler configurations across a bounded worker pool.
-// The search space is the grid of (initiation interval, variant) cells,
-// explored in ascending interval order; a worker claims the next cell
-// and runs a complete single-interval scheduling attempt for it. As
-// soon as some cell schedules, cells at larger intervals are pruned and
-// any attempts already running there are cancelled through ctx-style
-// polling — including the moment a variant proves the ResMII lower
-// bound, which cancels everything else in flight.
+// The race walks the initiation intervals upward from MinII. At each
+// interval, up to min(Workers, len(variants)) workers run every
+// variant's single-interval attempt to completion, each into its own
+// cell; the walk then folds the cells in variant order and stops at
+// the first interval where any variant scheduled. Workers beyond the
+// variant count add nothing: one interval never has more cells than
+// variants.
 //
-// The winner is chosen deterministically: smallest interval, then
-// fewest inserted copies, then lowest variant index. Because every cell
-// at an interval no larger than the winning one is always run to
-// completion (cancellation only ever kills cells that cannot win), the
-// result is bit-identical across runs and worker counts; only the
-// PortfolioStats timing and cancellation counters vary.
+// The winner is chosen deterministically: the first interval that
+// schedules, then fewest inserted copies, then lowest variant index.
+// Every cell at or below the winning interval runs to completion and
+// no cell above it runs at all, so the schedule, the per-variant
+// counters, the pass counters, and the spliced trace are identical
+// across runs and worker counts; only the PortfolioStats wall times
+// vary.
 //
 // A nil or background ctx disables external cancellation. The zero
 // Options value races the paper configuration against its four ablation
@@ -215,12 +210,8 @@ func CompilePortfolio(ctx context.Context, k *ir.Kernel, m *machine.Machine, bas
 
 	// Tracing a race: concurrent attempts would interleave in the shared
 	// tracer nondeterministically, so each attempt records into a private
-	// child recorder, and after the race the streams of every completed
-	// cell at or below the winning interval — exactly the cells that are
-	// always claimed and never cancelled, hence deterministic — are
-	// spliced into the base tracer in (interval, variant) grid order.
-	// Streams of cancelled or above-winner attempts are dropped; the only
-	// timing-dependent residue is the per-variant cancel counts.
+	// child recorder, and the walk splices the streams of completed
+	// cells into the base tracer in (interval, variant) order.
 	tracer := base.Tracer
 	if tracer != nil {
 		for i, v := range variants {
@@ -241,216 +232,123 @@ func CompilePortfolio(ctx context.Context, k *ir.Kernel, m *machine.Machine, bas
 		stats.Variants[i].Pipeline = v.Opts.Pipeline()
 	}
 
-	// best is the smallest interval proven schedulable so far (maxII+1
-	// until one is); it only ever decreases. Attempts poll it locklessly
-	// so cells above the best die quickly.
-	var best atomic.Int64
-	best.Store(int64(maxII) + 1)
-
-	var (
-		mu      sync.Mutex
-		nextII  = minII
-		nextVar = 0
-		wins    = make(map[task]won)
-		recs    map[task]*obs.Recorder
-		passes  PassStats
-		// intErr is the first internal (recovered panic) error in grid
-		// order; once one strikes, cell generation halts and the race
-		// drains. Grid order keeps the reported error deterministic even
-		// when several workers panic concurrently.
-		intErr   error
-		intErrAt task
-	)
-	if tracer != nil {
-		recs = make(map[task]*obs.Recorder)
+	var cancel func() bool
+	if ctx.Done() != nil {
+		cancel = func() bool { return ctx.Err() != nil }
 	}
-	// next claims the lexicographically next (interval, variant) cell.
-	// Generation halts once the interval passes the current best: those
-	// cells cannot improve the winner, and since best only decreases and
-	// cells are claimed in ascending order, every cell at or below the
-	// final winning interval is guaranteed to have been claimed.
-	next := func() (task, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		limit := int(best.Load())
-		if limit > maxII {
-			limit = maxII
-		}
-		if nextII > limit || ctx.Err() != nil || intErr != nil {
-			return task{}, false
-		}
-		t := task{ii: nextII, vi: nextVar}
-		if nextVar++; nextVar == len(variants) {
-			nextVar, nextII = 0, nextII+1
-		}
-		return t, true
-	}
-
-	// attempt runs one grid cell under panic isolation: a panic that
-	// escapes tryII's per-pass recovery (or one injected at the
-	// portfolio fault site) is converted into a structured internal
-	// error instead of crashing the whole process from a bare worker
-	// goroutine. An Exhaust rule at the portfolio site makes the cell
-	// report infeasible, as if its budgets were spent.
-	attempt := func(t task, opts Options, cancel func() bool, scratch *Stats, ps *PassStats) (e *engine, aborted bool, err error) {
+	// run attempts one cell under panic isolation: a panic that escapes
+	// tryII's per-pass recovery (or one injected at the portfolio fault
+	// site) becomes a structured internal error instead of crashing the
+	// process from a bare worker goroutine. An Exhaust rule at the
+	// portfolio site makes the cell report infeasible, as if its budgets
+	// were spent.
+	run := func(ii, vi int, cl *cell) {
+		t0 := time.Now()
 		defer func() {
 			if r := recover(); r != nil {
-				e, aborted = nil, false
-				err = &CompileError{
+				cl.eng, cl.aborted = nil, false
+				cl.err = &CompileError{
 					Kind:   KindInternal,
 					Pass:   PassPlace,
-					Reason: fmt.Sprintf("internal error racing variant %q at II %d: %v", variants[t.vi].Name, t.ii, r),
+					Reason: fmt.Sprintf("internal error racing variant %q at II %d: %v", variants[vi].Name, ii, r),
 					Op:     NoOp,
-					II:     t.ii,
+					II:     ii,
 					Stack:  string(debug.Stack()),
 				}
 			}
+			cl.wall = time.Since(t0)
 		}()
-		if base.Faults.Probe(faultinject.SitePortfolio, variants[t.vi].Name) {
-			return nil, false, nil
+		if base.Faults.Probe(faultinject.SitePortfolio, variants[vi].Name) {
+			return
 		}
-		// Fresh memo per grid cell: the portfolio's deterministic
-		// trace-splicing and per-variant counters require each cell to
-		// be a pure function of its configuration, which a memo shared
-		// across concurrently racing cells would break.
-		return tryII(k, m, g, opts, t.ii, cancel, newPermMemo(), scratch, ps, nil)
+		opts := variants[vi].Opts
+		if tracer != nil {
+			cl.rec = obs.NewRecorder()
+			opts.Tracer = cl.rec
+		}
+		// Fresh memo per cell: each cell must be a pure function of its
+		// configuration and interval for the walk's folds to be
+		// deterministic, which a memo shared across racing cells would
+		// break.
+		var scratch Stats
+		cl.eng, cl.aborted, cl.err = tryII(k, m, g, opts, ii, cancel, newPermMemo(), &scratch, &cl.ps, nil)
 	}
 
 	pool := pf.Pool
 	if pool == nil {
 		pool = NewPool(workers)
 	}
-	pool.Fan(workers, func(int) {
-		for {
-			t, ok := next()
-			if !ok {
-				return
-			}
-			// A cell is cancellable only while a strictly smaller
-			// interval has been proven: cells at the winning interval
-			// always complete, keeping the winning set — and with it
-			// the selection — deterministic.
-			cancel := func() bool {
-				return int(best.Load()) < t.ii || ctx.Err() != nil
-			}
-			opts := variants[t.vi].Opts
-			if tracer != nil {
-				// Private recorder per attempt; spliced (or dropped)
-				// after the race for a deterministic merged stream.
-				rec := obs.NewRecorder()
-				opts.Tracer = rec
-				mu.Lock()
-				recs[t] = rec
-				mu.Unlock()
-			}
-			var scratch Stats
-			var ps PassStats
-			t0 := time.Now()
-			e, aborted, aerr := attempt(t, opts, cancel, &scratch, &ps)
-			elapsed := time.Since(t0)
-
-			mu.Lock()
-			passes.Merge(ps)
-			vs := &stats.Variants[t.vi]
-			vs.Wall += elapsed
-			if aerr != nil {
-				if intErr == nil || t.ii < intErrAt.ii || (t.ii == intErrAt.ii && t.vi < intErrAt.vi) {
-					intErr, intErrAt = aerr, t
-				}
-				delete(recs, t) // partial stream of a dying attempt
-				mu.Unlock()
-				continue
-			}
-			if aborted {
-				vs.Cancelled++
-				stats.Cancelled++
-				delete(recs, t) // cancelled stream: timing-dependent, dropped
-				mu.Unlock()
-				continue
-			}
-			vs.IIsTried++
-			stats.IIsTried++
-			if e != nil {
-				copies := len(e.ops) - len(k.Ops)
-				wins[t] = won{eng: e, copies: copies}
-				if vs.BestII == 0 || t.ii < vs.BestII {
-					vs.BestII, vs.Copies = t.ii, copies
-				}
-				for {
-					cur := best.Load()
-					if int64(t.ii) >= cur || best.CompareAndSwap(cur, int64(t.ii)) {
-						break
-					}
-				}
-			}
-			mu.Unlock()
-		}
-	})
-
+	var passes PassStats
 	finish := func() {
 		stats.Passes = append(PassStats(nil), c.clock.stats...)
 		stats.Passes.Merge(passes)
 		stats.Passes.sortCanonical()
 		stats.Wall = time.Since(start)
 	}
-
-	if intErr != nil {
-		finish()
-		return nil, stats, c.decorate(intErr)
+	cells := make([]cell, len(variants))
+	var chosen *engine
+	for ii := minII; ii <= maxII && chosen == nil && ctx.Err() == nil; ii++ {
+		clear(cells)
+		var next atomic.Int32
+		pool.Fan(min(workers, len(variants)), func(int) {
+			for vi := int(next.Add(1)) - 1; vi < len(cells); vi = int(next.Add(1)) - 1 {
+				run(ii, vi, &cells[vi])
+			}
+		})
+		// Fold the interval's cells in variant order. The first internal
+		// error in that order sinks the compile.
+		var cellErr error
+		for vi := range cells {
+			cl, vs := &cells[vi], &stats.Variants[vi]
+			passes.Merge(cl.ps)
+			vs.Wall += cl.wall
+			if cl.err != nil {
+				if cellErr == nil {
+					cellErr = cl.err
+				}
+				continue
+			}
+			if cl.aborted {
+				continue
+			}
+			vs.IIsTried++
+			stats.IIsTried++
+			if cl.rec != nil {
+				for _, ev := range cl.rec.Events() {
+					ev.Seq = 0
+					tracer.Emit(ev)
+				}
+			}
+			if cl.eng != nil {
+				vs.BestII, vs.Copies = ii, len(cl.eng.ops)-len(k.Ops)
+				if chosen == nil || vs.Copies < stats.Variants[stats.Winner].Copies {
+					chosen, stats.Winner, stats.WinnerII = cl.eng, vi, ii
+				}
+			}
+		}
+		if cellErr != nil {
+			finish()
+			return nil, stats, c.decorate(cellErr)
+		}
 	}
 	if ctx.Err() != nil {
 		finish()
 		return nil, stats, c.decorate(portfolioCtxError(ctx, k, m))
 	}
-	winII := int(best.Load())
-	if winII > maxII {
+	if chosen == nil {
 		finish()
 		return nil, stats, c.decorate(compileErrorf(PassPlace,
 			"%s does not schedule on %s within II ≤ %d (portfolio of %d variants, %d attempts)",
 			k.Name, m.Name, maxII, len(variants), stats.IIsTried))
 	}
-	// Deterministic selection among the cells at the winning interval:
-	// fewest copies, then lowest variant index (the iteration order).
-	winner, chosen := -1, won{}
-	for vi := range variants {
-		if r, ok := wins[task{ii: winII, vi: vi}]; ok {
-			if winner < 0 || r.copies < chosen.copies {
-				winner, chosen = vi, r
-			}
-		}
-	}
-	stats.Winner = winner
-	stats.WinnerII = winII
 	if tracer != nil {
-		// Splice the per-attempt streams in grid order. Every cell at an
-		// interval ≤ the winning one ran to completion (best never drops
-		// below winII, so those cells are never cancelled), making this
-		// prefix of the merged trace deterministic.
-		for ii := minII; ii <= winII; ii++ {
-			for vi := range variants {
-				rec := recs[task{ii: ii, vi: vi}]
-				if rec == nil {
-					continue
-				}
-				for _, ev := range rec.Events() {
-					ev.Seq = 0
-					tracer.Emit(ev)
-				}
-			}
-		}
-		for vi := range variants {
-			tracer.Emit(obs.Event{
-				Kind: obs.KindVariantCancel, Track: "portfolio", Name: variants[vi].Name,
-				Op: int32(vi), Value: int64(stats.Variants[vi].Cancelled), HasValue: true,
-			})
-		}
 		tracer.Emit(obs.Event{
-			Kind: obs.KindVariantWin, Track: "portfolio", Name: variants[winner].Name,
-			Op: int32(winner), II: int32(winII),
+			Kind: obs.KindVariantWin, Track: "portfolio", Name: variants[stats.Winner].Name,
+			Op: int32(stats.Winner), II: int32(stats.WinnerII),
 		})
 	}
-	c.eng = chosen.eng
-	c.II = winII
+	c.eng = chosen
+	c.II = stats.WinnerII
 	if err := c.runPass(regallocPass{}); err != nil {
 		finish()
 		return nil, stats, c.decorate(err)

@@ -117,11 +117,34 @@ func keyOf(s *Schedule) schedKey {
 	}
 }
 
+// raceCounters projects the deterministic counters of a portfolio run:
+// per-pass Name/Runs/Steps/Fails (wall time excluded) and each
+// variant's IIsTried/BestII/Copies.
+type raceCounters struct {
+	Passes   []PassStat
+	Variants [][3]int
+}
+
+func countersOf(stats *PortfolioStats) raceCounters {
+	var rc raceCounters
+	for _, p := range stats.Passes {
+		p.Wall = 0
+		rc.Passes = append(rc.Passes, p)
+	}
+	for _, v := range stats.Variants {
+		rc.Variants = append(rc.Variants, [3]int{v.IIsTried, v.BestII, v.Copies})
+	}
+	return rc
+}
+
 // TestPortfolioDeterminism runs the portfolio 20 times at worker counts
-// 1, 2, and 8 and requires bit-identical schedules: same interval, same
-// stub placements, same routes. The grid search guarantees every cell
-// at or below the winning interval completes, so neither goroutine
-// interleaving nor pool width may change the winner.
+// 1, 2, and 8 and requires bit-identical schedules — same interval,
+// same stub placements, same routes — and identical race counters. The
+// race runs every cell at or below the winning interval to completion
+// and none above it, so neither goroutine interleaving nor pool width
+// may change the winner or any deterministic counter. On
+// DCT/distributed only one variant schedules at the winning interval,
+// so a cell run above it would show in the counters.
 func TestPortfolioDeterminism(t *testing.T) {
 	pairs := []struct {
 		kernel string
@@ -129,26 +152,32 @@ func TestPortfolioDeterminism(t *testing.T) {
 	}{
 		{"FFT", machine.Distributed()},
 		{"DCT", machine.Central()},
+		{"DCT", machine.Distributed()},
 	}
 	const runs = 20
 	for _, p := range pairs {
 		k := kernels.ByName(p.kernel).MustKernel()
 		var want schedKey
+		var wantRC raceCounters
 		var have bool
 		for _, workers := range []int{1, 2, 8} {
 			for run := 0; run < runs; run++ {
-				s, _, err := CompilePortfolio(context.Background(), k, p.mach, Options{}, PortfolioOptions{Workers: workers})
+				s, stats, err := CompilePortfolio(context.Background(), k, p.mach, Options{}, PortfolioOptions{Workers: workers})
 				if err != nil {
 					t.Fatalf("%s on %s workers=%d run=%d: %v", p.kernel, p.mach.Name, workers, run, err)
 				}
-				got := keyOf(s)
+				got, gotRC := keyOf(s), countersOf(stats)
 				if !have {
-					want, have = got, true
+					want, wantRC, have = got, gotRC, true
 					continue
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s on %s workers=%d run=%d: schedule differs from first run\nfirst:\n%s\nthis:\n%s",
 						p.kernel, p.mach.Name, workers, run, want.Dump, got.Dump)
+				}
+				if !reflect.DeepEqual(gotRC, wantRC) {
+					t.Fatalf("%s on %s workers=%d run=%d: race counters differ from first run\nfirst: %+v\nthis:  %+v",
+						p.kernel, p.mach.Name, workers, run, wantRC, gotRC)
 				}
 			}
 		}

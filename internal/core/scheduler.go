@@ -86,24 +86,6 @@ type Options struct {
 	// the default — disables injection at zero cost (one pointer
 	// compare per probe site, nothing allocates).
 	Faults *faultinject.Plane
-	// Speculate arms the speculative parallel interval ladder: values
-	// above 1 let up to that many workers race the upcoming rungs of
-	// the probe/refinement walk while the walk consumes outcomes in
-	// sequential order. The schedule is bit-identical to the sequential
-	// ladder's regardless of worker count or finish order (see
-	// internal/core/search.go), which is why Canonical collapses this
-	// field: it is a throughput knob, never a configuration. 0 and 1
-	// run the classic sequential ladder.
-	Speculate int
-	// Pool bounds speculative workers across concurrent compilations —
-	// share one Pool between the daemon, CompilePortfolio, and
-	// speculative searches to cap total parallelism machine-wide. nil
-	// gives each speculative search a private hardware-sized pool
-	// (GOMAXPROCS slots, one reserved for the walk itself), so
-	// speculation never oversubscribes the machine no matter how large
-	// Speculate is. Runtime plumbing only: like Tracer, it never
-	// affects the schedule and is excluded from canonicalization.
-	Pool *Pool
 }
 
 // Validate rejects option values that cannot mean anything: negative
@@ -127,9 +109,6 @@ func (o Options) Validate() error {
 	}
 	if o.AttemptBudget < 0 {
 		bad = append(bad, fmt.Sprintf("AttemptBudget %d is negative (0 means the default of 128)", o.AttemptBudget))
-	}
-	if o.Speculate < 0 {
-		bad = append(bad, fmt.Sprintf("Speculate %d is negative (0 or 1 means the sequential ladder; N>1 races N workers)", o.Speculate))
 	}
 	if len(bad) == 0 {
 		return nil
@@ -156,10 +135,7 @@ const (
 // canonicalize equal. MaxII and ScanWindow stay untouched — their zero
 // forms derive from the kernel and the interval under trial, not from
 // a constant — as do the pointer-valued fields (Tracer, Degrade,
-// Faults). Speculate and Pool collapse entirely: the speculative
-// ladder's result is bit-identical to the sequential ladder's at any
-// worker count, so speculation is throughput plumbing — two requests
-// differing only in it must share one cache entry.
+// Faults).
 func (o Options) Canonical() Options {
 	if o.PermBudget == 0 {
 		o.PermBudget = DefaultPermBudget
@@ -170,8 +146,6 @@ func (o Options) Canonical() Options {
 	if o.AttemptBudget == 0 {
 		o.AttemptBudget = DefaultAttemptBudget
 	}
-	o.Speculate = 0
-	o.Pool = nil
 	return o
 }
 
@@ -232,20 +206,7 @@ func compileOnce(ctx context.Context, k *ir.Kernel, m *machine.Machine, opts Opt
 	}
 	var agg Stats
 	var lastFail placeFail
-	// One infeasibility memo per compilation: dead ends proven at one
-	// rung short-circuit every later rung that re-poses them.
-	memo := newPermMemo()
-	var ev iiEvaluator
-	if opts.Speculate > 1 {
-		ev = newSpeculativeEval(ctx, k, m, c.Graph, opts, memo, &agg, &c.clock.stats, &lastFail)
-	} else {
-		ev = &sequentialEval{
-			k: k, m: m, g: c.Graph, opts: opts, cancel: cancel, memo: memo,
-			agg: &agg, ps: &c.clock.stats, fail: &lastFail,
-		}
-	}
-	good, abortII, aborted, searchErr := runLadder(c, ev)
-	ev.finish()
+	good, abortII, aborted, searchErr := runLadder(c, cancel, &agg, &lastFail)
 	if searchErr != nil {
 		return nil, c.decorate(searchErr)
 	}
@@ -258,7 +219,6 @@ func compileOnce(ctx context.Context, k *ir.Kernel, m *machine.Machine, opts Opt
 	good.stats.IIsTried = agg.IIsTried
 	good.stats.Backtracks += agg.Backtracks
 	good.stats.MemoHits += agg.MemoHits
-	good.stats.SpecCancelled = agg.SpecCancelled
 	c.eng = good
 	c.II = good.ii
 	if err := c.runPass(regallocPass{}); err != nil {
@@ -275,8 +235,7 @@ func compileOnce(ctx context.Context, k *ir.Kernel, m *machine.Machine, opts Opt
 
 // ctxError builds the structured cancellation/deadline report for a
 // compilation abandoned at interval ii, localized to the operation the
-// place pass was working on when the poll struck. An abort with a live
-// context (portfolio loser-pruning hooks do this) reports as cancelled.
+// place pass was working on when the poll struck.
 func (c *Compilation) ctxError(ctx context.Context, ii int, lastFail placeFail) *CompileError {
 	c.traceCancel(ii)
 	kind := KindCancelled

@@ -1,72 +1,17 @@
 package core
 
-import (
-	"context"
-	"fmt"
-	"runtime/debug"
-	"strconv"
-	"sync"
-
-	"repro/internal/depgraph"
-	"repro/internal/faultinject"
-	"repro/internal/ir"
-	"repro/internal/machine"
-	"repro/internal/obs"
-)
-
-// This file is the initiation-interval search engine: the ladder walk
-// that used to live inline in compileOnce, factored behind a strategy
-// seam so the sequential ladder (the default, bit-identical to the
-// goldens) and the speculative parallel ladder (Options.Speculate)
-// share one control flow.
-//
-// The walk itself — an escalating probe followed by binary refinement —
-// is identical under both strategies; what differs is how one interval
-// gets evaluated. The sequential evaluator calls tryII inline. The
-// speculative evaluator races the walk's own future against a worker
-// pool: the probe sequence is outcome-independent up to its first
-// success, and each refinement step's candidate midpoints are computable
-// ahead of the outcome, so idle workers evaluate upcoming rungs before
-// the walk arrives. The walk consumes whatever is finished, computes
-// inline whatever is not, and cancels rungs it can no longer consume
-// (the lowest-II-wins protocol: proving an interval feasible obsoletes
-// every speculative rung above the refinement bracket). Because the
-// walk's decisions depend only on per-interval outcomes — and tryII's
-// outcome for an interval is a pure function of the problem, unaffected
-// by infeasibility-memo timing (a memo hit replaces a search with the
-// failure it was bound to reach) — the schedule, its fingerprint, and
-// the per-pass counters are bit-identical to the sequential ladder's
-// regardless of worker count or finish order. Only the search-effort
-// counters (Stats.PermSteps, Stats.MemoHits) may vary run to run in
-// speculative mode; nothing derived from them feeds the schedule or
-// the daemon's response bodies.
-
-// iiEvaluator is the strategy seam of the interval search: one
-// evaluation of tryII at a given interval, plus the walk's forecasts
-// that let a speculative implementation run ahead.
-type iiEvaluator interface {
-	// eval returns tryII's outcome for interval ii, with all
-	// cross-interval accounting (agg stats, pass stats, last failure)
-	// already applied in walk order.
-	eval(ii int) (eng *engine, aborted bool, err error)
-	// probeHints forecasts the whole probe sequence before the probe
-	// phase starts.
-	probeHints(seq []int)
-	// bracketHints forecasts one refinement step over the open-below
-	// bracket (lo, hi): the walk will next evaluate (lo+hi)/2, and
-	// after that a midpoint of whichever sub-bracket the outcome
-	// selects. Intervals outside the bracket can no longer be consumed.
-	bracketHints(lo, hi int)
-	// finish releases evaluator resources; no eval may follow.
-	finish()
-}
+// This file is the initiation-interval search of a single-configuration
+// compilation: an escalating probe up to the first interval that
+// schedules, followed by binary refinement back down to the smallest
+// one. Refinement assumes feasibility is monotone in the interval;
+// CompilePortfolio's variant race does not have that property and
+// walks the intervals linearly instead (portfolio.go).
 
 // probeSequence reproduces the escalating probe ladder: when small
 // intervals fail, the step grows so communication-bound kernels (whose
 // feasible interval sits far above the resource bound) are found in
 // logarithmically many probes. The sequence depends only on the search
-// bounds — not on any attempt's outcome — which is what makes the probe
-// phase speculable.
+// bounds, not on any attempt's outcome.
 func probeSequence(minII, maxII int) []int {
 	seq := make([]int, 0, 32)
 	step := 1
@@ -80,18 +25,24 @@ func probeSequence(minII, maxII int) []int {
 	return seq
 }
 
-// runLadder walks the interval search over an evaluator: probe upward
-// until the first feasible interval, then refine back down to the
-// smallest one that schedules. It returns the winning engine (nil when
-// nothing scheduled), and on abort the interval the walk was consuming.
-func runLadder(c *Compilation, ev iiEvaluator) (good *engine, abortII int, aborted bool, err error) {
-	seq := probeSequence(c.MinII, c.MaxII)
-	ev.probeHints(seq)
+// runLadder walks the interval search: probe upward until the first
+// feasible interval, then refine back down to the smallest one that
+// schedules. Every attempt runs tryII with the given cancellation hook,
+// folding its accounting into agg, the compilation's pass stats, and
+// fail. It returns the winning engine (nil when nothing scheduled),
+// and on abort the interval the walk was trying.
+func runLadder(c *Compilation, cancel func() bool, agg *Stats, fail *placeFail) (good *engine, abortII int, aborted bool, err error) {
+	// One infeasibility memo per walk: dead ends proven at one interval
+	// short-circuit every later interval that re-poses them.
+	memo := newPermMemo()
+	try := func(ii int) (*engine, bool, error) {
+		return tryII(c.Kernel, c.Machine, c.Graph, c.Opts, ii, cancel, memo, agg, &c.clock.stats, fail)
+	}
 	failedBelow := c.MinII
-	for _, ii := range seq {
-		e, ab, evalErr := ev.eval(ii)
-		if evalErr != nil {
-			return nil, ii, false, evalErr
+	for _, ii := range probeSequence(c.MinII, c.MaxII) {
+		e, ab, tryErr := try(ii)
+		if tryErr != nil {
+			return nil, ii, false, tryErr
 		}
 		if ab {
 			return nil, ii, true, nil
@@ -106,11 +57,10 @@ func runLadder(c *Compilation, ev iiEvaluator) (good *engine, abortII int, abort
 		return nil, 0, false, nil
 	}
 	for failedBelow < good.ii {
-		ev.bracketHints(failedBelow, good.ii)
 		mid := (failedBelow + good.ii) / 2
-		e, ab, evalErr := ev.eval(mid)
-		if evalErr != nil {
-			return nil, mid, false, evalErr
+		e, ab, tryErr := try(mid)
+		if tryErr != nil {
+			return nil, mid, false, tryErr
 		}
 		if ab {
 			return nil, mid, true, nil
@@ -122,350 +72,4 @@ func runLadder(c *Compilation, ev iiEvaluator) (good *engine, abortII int, abort
 		}
 	}
 	return good, 0, false, nil
-}
-
-// sequentialEval is the default strategy: every interval evaluates
-// inline on the walk's goroutine, exactly the pre-extraction code path.
-type sequentialEval struct {
-	k      *ir.Kernel
-	m      *machine.Machine
-	g      *depgraph.Graph
-	opts   Options
-	cancel func() bool
-	memo   *permMemo
-	agg    *Stats
-	ps     *PassStats
-	fail   *placeFail
-}
-
-func (s *sequentialEval) eval(ii int) (*engine, bool, error) {
-	return tryII(s.k, s.m, s.g, s.opts, ii, s.cancel, s.memo, s.agg, s.ps, s.fail)
-}
-
-func (s *sequentialEval) probeHints([]int)      {}
-func (s *sequentialEval) bracketHints(int, int) {}
-func (s *sequentialEval) finish()               {}
-
-// cellState tracks one speculative rung through its lifecycle.
-type cellState int8
-
-const (
-	cellPending cellState = iota // hinted, waiting for a worker
-	cellRunning                  // a worker is evaluating it
-	cellDone                     // outcome published
-	cellTaken                    // claimed by the walk for inline evaluation
-)
-
-// specCell is one speculative rung: an interval hinted by the walk,
-// evaluated by a pool worker into private scratch that the walk merges
-// if and when it consumes the cell.
-type specCell struct {
-	ii       int
-	state    cellState
-	obsolete bool          // cancels the attempt through its poll hook
-	done     chan struct{} // closed when state reaches cellDone
-
-	eng     *engine
-	aborted bool
-	err     error
-	stats   Stats
-	ps      PassStats
-	fail    placeFail
-	rec     *obs.Recorder // private trace, spliced on consumption
-}
-
-// speculativeEval races the walk's forecast intervals over a shared
-// worker pool. Workers claim the lowest pending interval first, so on a
-// saturated pool the race degenerates gracefully toward the sequential
-// evaluation order.
-type speculativeEval struct {
-	k    *ir.Kernel
-	m    *machine.Machine
-	g    *depgraph.Graph
-	opts Options
-	ctx  context.Context
-	memo *permMemo
-
-	agg  *Stats
-	ps   *PassStats
-	fail *placeFail
-
-	tracer obs.Tracer // the compilation's tracer; cells get private ones
-
-	mu        sync.Mutex
-	cond      *sync.Cond
-	cells     map[int]*specCell
-	closed    bool
-	cancelled int // rungs obsoleted before consumption
-	wg        sync.WaitGroup
-	ownSlot   *Pool // set when the search reserved the walk's own slot
-}
-
-// newSpeculativeEval starts the rung workers: up to opts.Speculate-1 of
-// them, each holding a slot of the shared pool. An exhausted pool
-// simply yields fewer workers — at zero the search runs sequentially
-// through the same code path, bit-identical either way.
-//
-// Slot discipline: a caller handing in a shared pool (the daemon, a
-// test) is expected to already hold the slot that admitted the walk,
-// so only the extra workers acquire here. Without a shared pool the
-// search builds a hardware-sized one (GOMAXPROCS) and reserves the
-// walk's slot itself — racing rungs beyond the machine's parallelism
-// would only steal cycles from the walk, so on a single hardware
-// thread speculation degrades to the sequential path instead of
-// oversubscribing it.
-func newSpeculativeEval(ctx context.Context, k *ir.Kernel, m *machine.Machine, g *depgraph.Graph,
-	opts Options, memo *permMemo, agg *Stats, ps *PassStats, fail *placeFail) *speculativeEval {
-	s := &speculativeEval{
-		k: k, m: m, g: g, opts: opts, ctx: ctx, memo: memo,
-		agg: agg, ps: ps, fail: fail,
-		tracer: opts.Tracer,
-		cells:  make(map[int]*specCell),
-	}
-	s.cond = sync.NewCond(&s.mu)
-	pool := opts.Pool
-	if pool == nil {
-		pool = NewPool(0)
-		if pool.TryAcquire() { // fresh pool: the walk's slot
-			s.ownSlot = pool
-		}
-	}
-	for w := 1; w < opts.Speculate; w++ {
-		if !pool.TryAcquire() {
-			break
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer pool.Release()
-			s.worker()
-		}()
-	}
-	return s
-}
-
-// worker evaluates pending rungs, lowest interval first, until finish.
-func (s *speculativeEval) worker() {
-	for {
-		s.mu.Lock()
-		var cell *specCell
-		for !s.closed {
-			for _, c := range s.cells {
-				if c.state == cellPending && !c.obsolete && (cell == nil || c.ii < cell.ii) {
-					cell = c
-				}
-			}
-			if cell != nil {
-				break
-			}
-			s.cond.Wait()
-		}
-		if cell == nil {
-			s.mu.Unlock()
-			return
-		}
-		cell.state = cellRunning
-		s.mu.Unlock()
-
-		s.attempt(cell)
-
-		s.mu.Lock()
-		cell.state = cellDone
-		s.mu.Unlock()
-		close(cell.done)
-	}
-}
-
-// attempt runs one rung into the cell's private scratch under panic
-// isolation: a panic escaping tryII's per-pass recovery on a bare
-// worker goroutine must become a structured internal error — consumed
-// rungs report it exactly as the sequential ladder would, and rungs the
-// walk never consumes discard it, so a crashing speculative rung cannot
-// sink a search that never needed its answer.
-func (s *speculativeEval) attempt(cell *specCell) {
-	defer func() {
-		if r := recover(); r != nil {
-			cell.eng, cell.aborted = nil, false
-			cell.err = &CompileError{
-				Kind:   KindInternal,
-				Pass:   PassPlace,
-				Reason: fmt.Sprintf("internal error in speculative rung at II %d: %v", cell.ii, r),
-				Op:     NoOp,
-				II:     cell.ii,
-				Stack:  string(debug.Stack()),
-			}
-		}
-	}()
-	if s.opts.Faults.Probe(faultinject.SiteSpeculate, strconv.Itoa(cell.ii)) {
-		cell.aborted = true // forced exhaustion: the walk recomputes inline
-		return
-	}
-	opts := s.opts
-	if s.tracer != nil {
-		cell.rec = obs.NewRecorder()
-		opts.Tracer = cell.rec
-	}
-	cancel := func() bool {
-		s.mu.Lock()
-		obs := cell.obsolete
-		s.mu.Unlock()
-		return obs || s.ctx.Err() != nil
-	}
-	cell.eng, cell.aborted, cell.err = tryII(s.k, s.m, s.g, opts, cell.ii, cancel, s.memo, &cell.stats, &cell.ps, &cell.fail)
-}
-
-// eval consumes interval ii: a finished rung merges its scratch, a
-// running rung is awaited, anything else evaluates inline on the walk's
-// goroutine. Inline evaluation writes the shared accounting directly,
-// exactly like the sequential strategy.
-func (s *speculativeEval) eval(ii int) (*engine, bool, error) {
-	s.mu.Lock()
-	cell := s.cells[ii]
-	if cell == nil || cell.state == cellPending {
-		if cell != nil {
-			cell.state = cellTaken
-		}
-		s.mu.Unlock()
-		return s.inline(ii)
-	}
-	s.mu.Unlock()
-	<-cell.done
-
-	if cell.err != nil || (cell.aborted && s.ctx.Err() == nil) {
-		// The cell's outcome is speculative residue, not the interval's
-		// real answer: an abort here means the rung was obsoleted by a
-		// narrowing race the walk then lost track of (or a worker-only
-		// injected fault exhausted it), and an error means a panic
-		// escaped onto the bare worker goroutine. Recomputing inline
-		// restores sequential parity either way — a genuine engine panic
-		// reproduces deterministically through runPass's recovery into
-		// the same structured internal error the sequential ladder
-		// reports, while faults targeting only the speculative plumbing
-		// vanish without a trace in the schedule.
-		return s.inline(ii)
-	}
-	s.merge(cell)
-	return cell.eng, cell.aborted, nil
-}
-
-// inline evaluates ii on the walk's goroutine with ctx-only
-// cancellation, identical to the sequential strategy.
-func (s *speculativeEval) inline(ii int) (*engine, bool, error) {
-	var cancel func() bool
-	if s.ctx.Done() != nil {
-		cancel = func() bool { return s.ctx.Err() != nil }
-	}
-	return tryII(s.k, s.m, s.g, s.opts, ii, cancel, s.memo, s.agg, s.ps, s.fail)
-}
-
-// merge folds a consumed rung's private scratch into the shared
-// accounting, in consumption order — the same order the sequential
-// ladder would have applied it.
-func (s *speculativeEval) merge(cell *specCell) {
-	s.agg.add(cell.stats)
-	if s.ps != nil {
-		s.ps.Merge(cell.ps)
-	}
-	if s.fail != nil && cell.fail.name != "" {
-		*s.fail = cell.fail
-	}
-	if s.tracer != nil {
-		s.tracer.Emit(obs.Event{Kind: obs.KindSpecRung, Track: "speculate", II: int32(cell.ii)})
-		if cell.rec != nil {
-			for _, ev := range cell.rec.Events() {
-				ev.Seq = 0
-				s.tracer.Emit(ev)
-			}
-		}
-	}
-	if cell.eng != nil {
-		// The winning engine outlives the race: point it back at the
-		// compilation's tracer (its private recorder is spliced and
-		// done) and at plain context cancellation.
-		cell.eng.tracer = s.tracer
-		cell.eng.cancel = nil
-		if s.ctx.Done() != nil {
-			ctx := s.ctx
-			cell.eng.cancel = func() bool { return ctx.Err() != nil }
-		}
-	}
-}
-
-// probeHints enqueues the whole probe ladder.
-func (s *speculativeEval) probeHints(seq []int) {
-	s.mu.Lock()
-	for _, ii := range seq {
-		s.hintLocked(ii)
-	}
-	s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
-// bracketHints narrows the race to the refinement bracket (lo, hi) —
-// rungs outside it are obsolete, lowest-II-wins — and enqueues the
-// step's midpoint plus the midpoints of both possible sub-brackets.
-func (s *speculativeEval) bracketHints(lo, hi int) {
-	mid := (lo + hi) / 2
-	s.mu.Lock()
-	for _, c := range s.cells {
-		if !c.obsolete && (c.state == cellPending || c.state == cellRunning) && (c.ii <= lo || c.ii >= hi) {
-			c.obsolete = true
-			s.cancelled++
-		}
-	}
-	s.hintLocked(mid)
-	if lo < mid {
-		s.hintLocked((lo + mid) / 2) // next midpoint if mid proves feasible
-	}
-	if mid+1 < hi {
-		s.hintLocked((mid + 1 + hi) / 2) // next midpoint if mid fails
-	}
-	s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
-// hintLocked enqueues one interval unless it is already tracked.
-func (s *speculativeEval) hintLocked(ii int) {
-	if s.cells[ii] != nil {
-		return
-	}
-	s.cells[ii] = &specCell{ii: ii, done: make(chan struct{})}
-}
-
-// finish obsoletes every unconsumed rung and waits the workers out.
-func (s *speculativeEval) finish() {
-	s.mu.Lock()
-	s.closed = true
-	for _, c := range s.cells {
-		if !c.obsolete && (c.state == cellPending || c.state == cellRunning) {
-			c.obsolete = true
-			s.cancelled++
-		}
-	}
-	s.mu.Unlock()
-	s.cond.Broadcast()
-	s.wg.Wait()
-	if s.ownSlot != nil {
-		s.ownSlot.Release()
-	}
-	if s.tracer != nil && s.cancelled > 0 {
-		s.tracer.Emit(obs.Event{
-			Kind: obs.KindSpecCancel, Track: "speculate",
-			Value: int64(s.cancelled), HasValue: true,
-		})
-	}
-	s.agg.SpecCancelled += s.cancelled
-}
-
-// add folds another Stats into s (cross-interval aggregation).
-func (s *Stats) add(o Stats) {
-	s.Attempts += o.Attempts
-	s.AttemptFailures += o.AttemptFailures
-	s.CopiesInserted += o.CopiesInserted
-	s.PermSteps += o.PermSteps
-	s.Backtracks += o.Backtracks
-	s.IIsTried += o.IIsTried
-	s.PressureOverflows += o.PressureOverflows
-	s.MemoHits += o.MemoHits
-	s.SpecCancelled += o.SpecCancelled
 }

@@ -1,18 +1,15 @@
 package core
 
 import (
-	"errors"
 	"testing"
 
-	"repro/internal/faultinject"
 	"repro/internal/kernels"
 	"repro/internal/machine"
 )
 
 // TestProbeSequenceShape pins the probe ladder's contract: it starts at
 // the minimum interval, is strictly increasing, never leaves the search
-// bounds, and depends only on the bounds — the property that makes the
-// probe phase speculable ahead of any outcome.
+// bounds, and depends only on the bounds.
 func TestProbeSequenceShape(t *testing.T) {
 	for _, tc := range []struct{ min, max int }{
 		{1, 1}, {1, 8}, {1, 64}, {3, 64}, {1, 1024}, {17, 23},
@@ -32,79 +29,6 @@ func TestProbeSequenceShape(t *testing.T) {
 	}
 }
 
-// TestSpeculativeBitIdentical is the repeatability suite of the
-// speculative ladder: for every worker count, the speculative search
-// must return a schedule byte-identical to the sequential ladder's —
-// same dump, same fingerprint, same interval — regardless of rung
-// finish order. Sort-on-distributed exercises a deep probe-and-refine
-// walk; FIR-INT and DCT cover the short ladders.
-func TestSpeculativeBitIdentical(t *testing.T) {
-	cases := []struct {
-		kernel string
-		m      *machine.Machine
-	}{
-		{"FIR-INT", machine.Distributed()},
-		{"DCT", machine.Clustered(4)},
-		{"Sort", machine.Distributed()},
-	}
-	for _, tc := range cases {
-		t.Run(tc.kernel, func(t *testing.T) {
-			k := kernels.ByName(tc.kernel).MustKernel()
-			ref, err := Compile(k, tc.m, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			refDump, refFP := ref.Dump(), ref.Fingerprint()
-			for _, workers := range []int{1, 2, 8} {
-				// The explicit pool forces real rung racing even when
-				// GOMAXPROCS is 1 (a nil pool sizes itself to hardware).
-				spec, err := Compile(k, tc.m, Options{Speculate: workers, Pool: NewPool(workers)})
-				if err != nil {
-					t.Fatalf("speculate=%d: %v", workers, err)
-				}
-				if spec.II != ref.II {
-					t.Fatalf("speculate=%d: II %d, sequential II %d", workers, spec.II, ref.II)
-				}
-				if spec.Fingerprint() != refFP {
-					t.Errorf("speculate=%d: fingerprint diverges from sequential", workers)
-				}
-				if spec.Dump() != refDump {
-					t.Errorf("speculate=%d: schedule dump diverges from sequential", workers)
-				}
-			}
-		})
-	}
-}
-
-// TestSpeculativeSharedPool pins speculation drawing from an explicit
-// shared pool — the daemon's configuration — including a pool too small
-// to grant any extra worker, which must degrade to the sequential code
-// path, not deadlock.
-func TestSpeculativeSharedPool(t *testing.T) {
-	k := kernels.ByName("FIR-INT").MustKernel()
-	m := machine.Distributed()
-	ref, err := Compile(k, m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, slots := range []int{1, 4} {
-		pool := NewPool(slots)
-		s, err := Compile(k, m, Options{Speculate: 8, Pool: pool})
-		if err != nil {
-			t.Fatalf("pool=%d: %v", slots, err)
-		}
-		if s.Dump() != ref.Dump() {
-			t.Errorf("pool=%d: schedule diverges from sequential", slots)
-		}
-		// Every slot must come back: the pool drains to empty.
-		for i := 0; i < slots; i++ {
-			if !pool.TryAcquire() {
-				t.Fatalf("pool=%d: slot %d leaked by the speculative search", slots, i)
-			}
-		}
-	}
-}
-
 // TestMemoHitsNonzero pins the infeasibility memo doing real work on a
 // hard kernel: the deep Sort-on-distributed search must report memo
 // hits, and the memo (active by default) must not change the schedule —
@@ -118,92 +42,5 @@ func TestMemoHitsNonzero(t *testing.T) {
 	}
 	if s.Stats.MemoHits == 0 {
 		t.Fatal("infeasibility memo recorded zero hits on Sort/distributed")
-	}
-}
-
-// TestInjectedSpeculatePanicRecomputed pins rung isolation end to end:
-// with EVERY speculative pickup panicking, every consumed rung carries
-// an injected error, the walk recomputes each one inline, and the
-// search completes with the exact sequential schedule — a bare worker
-// panic neither kills the process nor perturbs a single decision.
-func TestInjectedSpeculatePanicRecomputed(t *testing.T) {
-	k := kernels.ByName("FIR-INT").MustKernel()
-	m := machine.Distributed()
-	ref, err := Compile(k, m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plane := faultinject.New(1, faultinject.Rule{
-		Site: faultinject.SiteSpeculate, Nth: 1, Every: 1, Action: faultinject.Panic,
-	})
-	s, err := Compile(k, m, Options{Speculate: 4, Pool: NewPool(4), Faults: plane})
-	if err != nil {
-		t.Fatalf("search did not survive speculative rung panics: %v", err)
-	}
-	if s.II != ref.II {
-		t.Fatalf("II %d after rung panics, want %d", s.II, ref.II)
-	}
-	if s.Dump() != ref.Dump() {
-		t.Error("schedule diverges from sequential after rung panics")
-	}
-}
-
-// TestInjectedSpeculateExhaustRecomputed pins the forced-exhaustion
-// path: an Exhaust rule at the speculate site marks every rung aborted
-// before it runs, the walk treats each as speculative residue and
-// recomputes inline, and the schedule stays sequential-identical.
-func TestInjectedSpeculateExhaustRecomputed(t *testing.T) {
-	k := kernels.ByName("DCT").MustKernel()
-	m := machine.Clustered(4)
-	ref, err := Compile(k, m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plane := faultinject.New(1, faultinject.Rule{
-		Site: faultinject.SiteSpeculate, Nth: 1, Every: 1, Action: faultinject.Exhaust,
-	})
-	s, err := Compile(k, m, Options{Speculate: 4, Pool: NewPool(4), Faults: plane})
-	if err != nil {
-		t.Fatalf("search did not survive exhausted rungs: %v", err)
-	}
-	if s.Dump() != ref.Dump() {
-		t.Error("schedule diverges from sequential after exhausted rungs")
-	}
-}
-
-// TestSpeculativeRepeatable runs the same speculative compile several
-// times under one pool and demands identical fingerprints every time —
-// finish-order nondeterminism must never reach the result. (Run with
-// -race, this doubles as the data-race suite for the rung scratch.)
-func TestSpeculativeRepeatable(t *testing.T) {
-	k := kernels.ByName("DCT").MustKernel()
-	m := machine.Distributed()
-	pool := NewPool(8)
-	var first string
-	for i := 0; i < 4; i++ {
-		s, err := Compile(k, m, Options{Speculate: 8, Pool: pool})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fp := s.Fingerprint()
-		if i == 0 {
-			first = fp
-		} else if fp != first {
-			t.Fatalf("run %d: fingerprint %s, first run %s", i, fp, first)
-		}
-	}
-}
-
-// TestSpeculateValidation pins option validation: a negative worker
-// count is invalid input, never a crash or a silent fallback.
-func TestSpeculateValidation(t *testing.T) {
-	k := kernels.ByName("FIR-INT").MustKernel()
-	_, err := Compile(k, machine.Distributed(), Options{Speculate: -2})
-	if err == nil {
-		t.Fatal("Speculate -2 accepted")
-	}
-	var ce *CompileError
-	if !errors.As(err, &ce) || ce.Kind != KindInvalidInput {
-		t.Fatalf("want KindInvalidInput, got %v", err)
 	}
 }

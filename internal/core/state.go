@@ -56,14 +56,8 @@ type Stats struct {
 	PressureOverflows int
 	// MemoHits counts §4.4 solves short-circuited by the infeasibility
 	// memo: permutation problems whose signature matched a dead end
-	// already proven this compilation. In speculative mode
-	// (Options.Speculate) rungs share the memo concurrently, so this
-	// counter — unlike the schedule itself — may vary run to run.
+	// already proven this compilation.
 	MemoHits int
-	// SpecCancelled counts speculative rungs obsoleted before the walk
-	// consumed them (lowest-II-wins cancellations). Zero in sequential
-	// mode; timing-dependent in speculative mode.
-	SpecCancelled int
 }
 
 // engine is the scheduling state for one (kernel, machine) pair at one
@@ -117,8 +111,7 @@ type engine struct {
 
 	// memo is the compilation-wide infeasibility memo (nil disables
 	// it): solve signatures proven unsatisfiable, shared across every
-	// interval this compilation tries — and, under Options.Speculate,
-	// across concurrently racing rungs.
+	// interval this compilation tries.
 	memo *permMemo
 	// wListSig/rListSig cache candidate-list content hashes by slice
 	// identity (see memo.go); engine-private, grown lazily, nil until

@@ -84,12 +84,6 @@ type OptionsSpec struct {
 	NoCostHeuristic bool `json:"no_cost_heuristic,omitempty"`
 	TwoPhase        bool `json:"two_phase,omitempty"`
 	RegisterAware   bool `json:"register_aware,omitempty"`
-	// Speculate (N>1) races up to N rungs of the initiation-interval
-	// ladder over the server's worker pool. The schedule is
-	// bit-identical to the sequential ladder's, so this field is a
-	// latency knob, never part of the cache key; it is ignored for
-	// portfolio requests (the portfolio racing is the parallelism).
-	Speculate int `json:"speculate,omitempty"`
 }
 
 // options converts the spec to core.Options; a nil spec is the zero
@@ -108,7 +102,6 @@ func (s *OptionsSpec) options() core.Options {
 		NoCostHeuristic: s.NoCostHeuristic,
 		TwoPhase:        s.TwoPhase,
 		RegisterAware:   s.RegisterAware,
-		Speculate:       s.Speculate,
 	}
 }
 
@@ -254,10 +247,9 @@ type RequestRecord struct {
 	Start      string      `json:"start"`
 	DurationMS float64     `json:"duration_ms"`
 	Stages     []StageSpan `json:"stages,omitempty"`
-	// MemoHits and SpecCancelled are the search-effort counters spliced
-	// out of the backing compilation (zero on cache hits and joins).
-	MemoHits      int `json:"memo_hits,omitempty"`
-	SpecCancelled int `json:"spec_cancelled,omitempty"`
+	// MemoHits is the search-effort counter spliced out of the backing
+	// compilation (zero on cache hits and joins).
+	MemoHits int `json:"memo_hits,omitempty"`
 	// Trace reports whether a full event trace was captured for this
 	// request: GET /debug/requests/{id} serves it as Chrome trace JSON.
 	Trace bool `json:"trace"`

@@ -41,24 +41,6 @@ func TestKeyCanonicalizesOptionDefaults(t *testing.T) {
 	}
 }
 
-// TestKeyIgnoresSpeculation pins the speculative ladder's cache
-// contract: Speculate is a latency knob whose schedules are
-// bit-identical to the sequential ladder's, so no worker count — and no
-// shared pool — may ever split the cache key.
-func TestKeyIgnoresSpeculation(t *testing.T) {
-	k := kernels.Motivating()
-	m := machine.MotivatingExample()
-	base := Key(k, m, core.Options{}, false)
-	for _, n := range []int{1, 2, 8} {
-		if Key(k, m, core.Options{Speculate: n}, false) != base {
-			t.Errorf("Speculate=%d changed the key", n)
-		}
-	}
-	if Key(k, m, core.Options{Speculate: 8, Pool: core.NewPool(8)}, false) != base {
-		t.Error("a shared pool changed the key")
-	}
-}
-
 // TestKeySensitivity pins that every schedule-affecting input moves the
 // key, and that the excluded passive fields do not.
 func TestKeySensitivity(t *testing.T) {

@@ -108,9 +108,9 @@ type Server struct {
 	diskWG sync.WaitGroup
 	// queue is a token bucket: sending acquires, receiving releases; it
 	// caps admitted compilations (running + waiting). pool caps running
-	// ones — and is shared with portfolio races and speculative interval
-	// searches, so a compilation that fans out internally draws its
-	// extra workers from the same machine-wide budget.
+	// ones — and is shared with portfolio races, so a compilation that
+	// fans out internally draws its extra workers from the same
+	// machine-wide budget.
 	queue chan struct{}
 	pool  *core.Pool
 
@@ -131,14 +131,12 @@ type Server struct {
 	mCompiles *obs.Counter
 	mErrors   *obs.Counter
 	mRejected *obs.Counter
-	// mMemoHits/mSpecCancel aggregate the search-effort counters of
-	// every backing compilation: §4.4 solves short-circuited by the
-	// infeasibility memo, and speculative interval rungs cancelled by
-	// lowest-II-wins. Effort telemetry only — cache hits (which run no
-	// search) contribute nothing.
-	mMemoHits   *obs.Counter
-	mSpecCancel *obs.Counter
-	mTraces     *obs.Counter
+	// mMemoHits aggregates the search-effort counter of every backing
+	// compilation: §4.4 solves short-circuited by the infeasibility
+	// memo. Effort telemetry only — cache hits (which run no search)
+	// contribute nothing.
+	mMemoHits *obs.Counter
+	mTraces   *obs.Counter
 	// mCacheEvict counts in-memory LRU evictions; same-key replacements
 	// are deliberately not evictions (the key never left the cache).
 	mCacheEvict *obs.Counter
@@ -249,7 +247,6 @@ func New(cfg Config) (*Server, error) {
 	s.mErrors = m.Counter("cschedd_compile_errors_total", "backing compilations that failed")
 	s.mRejected = m.Counter("cschedd_rejected_total", "compile requests rejected by admission control (429)")
 	s.mMemoHits = m.Counter("cschedd_memo_hits_total", "permutation solves short-circuited by the infeasibility memo")
-	s.mSpecCancel = m.Counter("cschedd_spec_cancelled_total", "speculative interval rungs cancelled by lowest-II-wins")
 	s.mTraces = m.Counter("cschedd_traces_captured_total", "full event traces captured by the flight recorder")
 	s.mCacheEvict = m.Counter("cschedd_cache_evictions_total", "in-memory schedule cache entries evicted by the byte budget (replacements excluded)")
 	s.gInflight = m.Gauge("cschedd_inflight", "backing compilations running now")
@@ -607,11 +604,9 @@ func (s *Server) lead(r *http.Request, rm *reqMeta, key string, f *flight, req *
 		sched *core.Schedule
 		err   error
 	)
-	// Internal fan-out — portfolio racing and speculative interval
-	// ladders — draws extra workers from the server's own pool: the
-	// leader's held slot covers worker zero, extras are try-acquired,
-	// so nested parallelism can never deadlock admission.
-	opts.Pool = s.pool
+	// Portfolio racing draws extra workers from the server's own pool:
+	// the leader's held slot covers worker zero, extras are
+	// try-acquired, so nested parallelism can never deadlock admission.
 	if req.Portfolio {
 		sched, _, err = core.CompilePortfolio(ctx, k, m, opts, core.PortfolioOptions{Workers: s.workersN, Pool: s.pool})
 	} else {
@@ -633,9 +628,7 @@ func (s *Server) lead(r *http.Request, rm *reqMeta, key string, f *flight, req *
 		out = s.errorOutcome(HTTPStatus(err), compileDetail(err))
 	} else {
 		rm.memoHits = sched.Stats.MemoHits
-		rm.specCanc = sched.Stats.SpecCancelled
 		s.mMemoHits.Add(int64(sched.Stats.MemoHits))
-		s.mSpecCancel.Add(int64(sched.Stats.SpecCancelled))
 		sp = rm.tl.Begin(stageSerialize)
 		body, merr := json.Marshal(buildResponse(key, k, sched))
 		rm.tl.End(sp)

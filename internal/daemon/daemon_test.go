@@ -166,18 +166,6 @@ func TestCompileNamedKernelAndCacheHit(t *testing.T) {
 	if !bytes.Equal(body, body2) {
 		t.Error("cache hit body differs from the cold compile body")
 	}
-
-	// A speculative request addresses the same entry: the schedule is
-	// bit-identical, so the worker count never splits the cache.
-	status3, hdr3, body3 := postCompile(t, ts, CompileRequest{
-		Kernel: "fig4", Machine: "fig5", Options: &OptionsSpec{Speculate: 8},
-	})
-	if status3 != http.StatusOK || hdr3.Get("X-Cschedd-Cache") != "hit" {
-		t.Fatalf("speculative compile: %d cache=%q", status3, hdr3.Get("X-Cschedd-Cache"))
-	}
-	if !bytes.Equal(body, body3) {
-		t.Error("speculative request body differs from the sequential body")
-	}
 }
 
 func TestCompileSourceKernel(t *testing.T) {
@@ -218,6 +206,22 @@ func TestCompilePortfolio(t *testing.T) {
 	if resp.Key == resp2.Key {
 		t.Error("portfolio and sequential requests share a cache key")
 	}
+
+	// Two cold compiles of one portfolio key serve byte-identical
+	// bodies, pass counters included.
+	req := CompileRequest{Kernel: "DCT", Machine: "distributed", Portfolio: true}
+	var bodies [2][]byte
+	for i := range bodies {
+		_, fresh := newTestServer(t, Config{Workers: 2})
+		status, hdr, body := postCompile(t, fresh, req)
+		if status != http.StatusOK || hdr.Get(CacheStateHeader) != "miss" {
+			t.Fatalf("cold portfolio compile %d: %d cache=%q\n%s", i, status, hdr.Get(CacheStateHeader), body)
+		}
+		bodies[i] = body
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Errorf("cold portfolio bodies differ:\n%s\n%s", bodies[0], bodies[1])
+	}
 }
 
 // TestCompileErrorShapes walks every 4xx/5xx error shape of the compile
@@ -232,6 +236,7 @@ func TestCompileErrorShapes(t *testing.T) {
 	}{
 		{"malformed JSON", `{"kernel": `, http.StatusBadRequest, "bad-request"},
 		{"unknown field", `{"kernle": "fig4"}`, http.StatusBadRequest, "bad-request"},
+		{"removed option", `{"kernel":"fig4","machine":"fig5","options":{"speculate":8}}`, http.StatusBadRequest, "bad-request"},
 		{"no kernel", CompileRequest{Machine: "fig5"}, http.StatusBadRequest, "bad-request"},
 		{"kernel and source", CompileRequest{Kernel: "fig4", Source: tinySource}, http.StatusBadRequest, "bad-request"},
 		{"unknown kernel", CompileRequest{Kernel: "NoSuchKernel"}, http.StatusBadRequest, "invalid-input"},
@@ -268,6 +273,11 @@ func TestCompileErrorShapes(t *testing.T) {
 	d := decodeError(t, status, body)
 	if d.Pass == "" || d.Kernel != "fig4" || d.Machine != "fig5" {
 		t.Errorf("schedule failure not localized: %+v", d)
+	}
+	// A removed option is an unknown field, and the reason names it.
+	status, _, body = postCompile(t, ts, `{"kernel":"fig4","machine":"fig5","options":{"speculate":8}}`)
+	if d := decodeError(t, status, body); !strings.Contains(d.Reason, `"speculate"`) {
+		t.Errorf("removed option not named: %q", d.Reason)
 	}
 }
 
@@ -325,8 +335,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"cschedd_compile_seconds_count 1",
 		"# TYPE cschedd_memo_hits_total counter",
 		"cschedd_memo_hits_total",
-		"# TYPE cschedd_spec_cancelled_total counter",
-		"cschedd_spec_cancelled_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q", want)

@@ -64,19 +64,18 @@ func (fr *flightRecorder) record(rm *reqMeta, total time.Duration) {
 	}
 	spans := rm.tl.Spans()
 	rec := RequestRecord{
-		ID:            rm.id,
-		LeaderID:      rm.leaderID,
-		Kernel:        rm.kernel,
-		Machine:       rm.machine,
-		Key:           rm.key,
-		Status:        rm.status,
-		Cache:         rm.cache,
-		ErrorKind:     rm.errKind,
-		Start:         rm.tl.Origin().UTC().Format(time.RFC3339Nano),
-		DurationMS:    durationMS(total),
-		MemoHits:      rm.memoHits,
-		SpecCancelled: rm.specCanc,
-		Trace:         rm.traced,
+		ID:         rm.id,
+		LeaderID:   rm.leaderID,
+		Kernel:     rm.kernel,
+		Machine:    rm.machine,
+		Key:        rm.key,
+		Status:     rm.status,
+		Cache:      rm.cache,
+		ErrorKind:  rm.errKind,
+		Start:      rm.tl.Origin().UTC().Format(time.RFC3339Nano),
+		DurationMS: durationMS(total),
+		MemoHits:   rm.memoHits,
+		Trace:      rm.traced,
 	}
 	if len(spans) > 0 {
 		rec.Stages = make([]StageSpan, len(spans))

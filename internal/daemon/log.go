@@ -84,7 +84,6 @@ type reqMeta struct {
 	cache    string // hit / disk / miss / join; empty before a key exists
 	errKind  string
 	memoHits int
-	specCanc int
 	traced   bool // full trace captured into the flight recorder
 	tl       *obs.Timeline
 }
@@ -146,9 +145,6 @@ func (s *Server) finishRequest(rm *reqMeta) {
 	}
 	if rm.memoHits > 0 {
 		attrs = append(attrs, slog.Int("memo_hits", rm.memoHits))
-	}
-	if rm.specCanc > 0 {
-		attrs = append(attrs, slog.Int("spec_cancelled", rm.specCanc))
 	}
 	if rm.traced {
 		attrs = append(attrs, slog.Bool("trace", true))

@@ -33,16 +33,9 @@ const (
 	// SiteSolver fires on every §4.4 stub-permutation search step; the
 	// probe label is empty.
 	SiteSolver
-	// SitePortfolio fires when a portfolio worker claims a grid cell;
-	// the probe label is the variant name.
+	// SitePortfolio fires when a portfolio worker starts one
+	// (interval, variant) cell; the probe label is the variant name.
 	SitePortfolio
-	// SiteSpeculate fires when a speculative interval-ladder worker
-	// picks up a rung; the probe label is the rung's initiation
-	// interval in decimal. Inline (walk-goroutine) evaluations never
-	// probe it, so rules here exercise exactly the speculative plumbing
-	// — a Panic proves rung isolation, an Exhaust forces the walk to
-	// recompute the rung inline.
-	SiteSpeculate
 	// SiteCacheRead fires when the daemon's disk cache tier reads an
 	// entry; the probe label is the cache key. It is an IO site: probed
 	// through ProbeIO, so Err/Torn/Corrupt rules apply.
@@ -57,7 +50,6 @@ var siteNames = [...]string{
 	SitePass:       "pass",
 	SiteSolver:     "solver",
 	SitePortfolio:  "portfolio",
-	SiteSpeculate:  "speculate",
 	SiteCacheRead:  "cache-read",
 	SiteCacheWrite: "cache-write",
 }
@@ -327,7 +319,7 @@ func (p *Plane) Rules() []Rule {
 // ParseSpec builds a plane from a textual fault specification: rules
 // separated by ';', each a comma-separated list of key=value fields:
 //
-//	site=pass|solver|portfolio|speculate|cache-read|cache-write  (required)
+//	site=pass|solver|portfolio|cache-read|cache-write  (required)
 //	label=NAME                   (optional; pass/variant name or cache key)
 //	action=panic|exhaust|delay|err|torn|corrupt                  (required)
 //	nth=N                        (optional; 0 derives from seed)

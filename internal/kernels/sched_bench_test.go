@@ -10,10 +10,8 @@ import (
 // Scheduling-throughput benchmarks over representative kernels: the
 // mid-size FIR, the comparator-heavy Merge and Sort networks (the
 // scheduler's stress cases), and Sort on the copy-bound clustered
-// machine — each in sequential-ladder form and, for the stress cases,
-// with the speculative parallel ladder racing 8 rungs (Sched...Spec8).
-// The speculative schedules are bit-identical to the sequential ones;
-// the memohits metric reports the infeasibility memo's work. Run with:
+// machine. The memohits metric reports the infeasibility memo's work.
+// Run with:
 //
 //	go test ./internal/kernels -bench Sched -benchmem
 
@@ -45,10 +43,4 @@ func BenchmarkSchedSortDistributed(b *testing.B) {
 }
 func BenchmarkSchedSortClustered4(b *testing.B) {
 	benchCompile(b, Sort(), machine.Clustered(4), core.Options{})
-}
-func BenchmarkSchedMergeDistributedSpec8(b *testing.B) {
-	benchCompile(b, Merge(), machine.Distributed(), core.Options{Speculate: 8})
-}
-func BenchmarkSchedSortDistributedSpec8(b *testing.B) {
-	benchCompile(b, Sort(), machine.Distributed(), core.Options{Speculate: 8})
 }

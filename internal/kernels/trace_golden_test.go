@@ -64,9 +64,10 @@ func TestUtilizationGoldens(t *testing.T) {
 // attached must (a) reproduce the exact schedule the goldens pin, (b)
 // export valid Chrome trace-event JSON, and (c) produce byte-identical
 // trace output across repeated runs. Traces of the hard pairs run to
-// hundreds of megabytes, so the test streams each export into a hash
+// millions of events and hundreds of megabytes, so the test attaches an
+// obs.ChromeWriter as the tracer and streams the export into a hash
 // (and, on the first run, through the schema validator via a pipe)
-// rather than buffering the bytes.
+// rather than recording the events or buffering the bytes.
 func TestTracingDoesNotPerturb(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping traced differential sweep in -short mode")
@@ -77,11 +78,6 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 			t.Run(spec.Name+"/"+m.Name, func(t *testing.T) {
 				t.Parallel()
 				compileTraced := func(validate bool) (string, [sha256.Size]byte) {
-					rec := obs.NewRecorder()
-					s, err := core.Compile(spec.MustKernel(), m, core.Options{Tracer: rec})
-					if err != nil {
-						t.Fatalf("traced compile: %v", err)
-					}
 					h := sha256.New()
 					var sink io.Writer = h
 					var pw *io.PipeWriter
@@ -94,7 +90,12 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 						defer pr.Close()
 						sink = io.MultiWriter(h, pw)
 					}
-					if err := obs.WriteChromeTrace(sink, rec.Events()); err != nil {
+					cw := obs.NewChromeWriter(sink)
+					s, err := core.Compile(spec.MustKernel(), m, core.Options{Tracer: cw})
+					if err != nil {
+						t.Fatalf("traced compile: %v", err)
+					}
+					if err := cw.Close(); err != nil {
 						t.Fatal(err)
 					}
 					if validate {

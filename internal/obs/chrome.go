@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"sync"
 	"unicode/utf8"
 )
 
@@ -44,7 +45,7 @@ func displayName(ev Event) string {
 		return ev.Name
 	case KindIIBegin, KindIIEnd:
 		return "II=" + strconv.Itoa(int(ev.II))
-	case KindVariantBegin, KindVariantCancel, KindVariantWin:
+	case KindVariantBegin, KindVariantWin:
 		return ev.Kind.String() + " " + ev.Name
 	case KindOpPlace, KindSimIssue:
 		if ev.Name != "" {
@@ -155,9 +156,6 @@ func appendArgs(b []byte, ev Event) []byte {
 	case KindVariantBegin, KindVariantWin:
 		a.str("variant", ev.Name)
 		a.num("ii", int64(ev.II))
-	case KindVariantCancel:
-		a.str("variant", ev.Name)
-		a.num("cancelled", ev.Value)
 	case KindSimIssue:
 		a.num("op", int64(ev.Op))
 		a.num("cycle", int64(ev.Cycle))
@@ -179,78 +177,136 @@ func appendArgs(b []byte, ev Event) []byte {
 
 // WriteChromeTrace renders an event stream as Chrome trace-event JSON.
 // Events are written in slice order with ts = Seq; tracks are assigned
-// thread ids in first-appearance order and named via thread_name
-// metadata, so equal streams produce byte-identical output.
+// thread ids in first-appearance order and named by a thread_name
+// metadata record written just ahead of each track's first event, so
+// equal streams produce byte-identical output. The bytes are exactly
+// what a ChromeWriter attached as the compilation's tracer streams out.
 func WriteChromeTrace(w io.Writer, events []Event) error {
-	tids := make(map[string]int)
-	var order []string
-	tidOf := func(track string) int {
-		if track == "" {
-			track = "events"
-		}
-		id, ok := tids[track]
-		if !ok {
-			id = len(tids) + 1
-			tids[track] = id
-			order = append(order, track)
-		}
+	cw := newChromeWriter(w)
+	for i := range events {
+		cw.write(&events[i])
+	}
+	return cw.Close()
+}
+
+// ChromeWriter is a Tracer that exports Chrome trace-event JSON as the
+// events arrive instead of keeping them: it stamps the logical clock
+// as a Recorder does and encodes each event straight into w, so memory
+// stays bounded however long the stream runs. A traced compilation of
+// a hard kernel emits millions of events; recording them first costs
+// gigabytes. The output is byte-identical to WriteChromeTrace over the
+// same stream recorded by a Recorder. Emit is safe for concurrent use;
+// Close writes the trailer and reports the first write error.
+type ChromeWriter struct {
+	mu    sync.Mutex
+	seq   uint64
+	bw    *bufio.Writer
+	tids  map[string]int
+	buf   []byte
+	first bool
+	err   error
+}
+
+// NewChromeWriter starts a trace on w. Call Close once the traced work
+// is done.
+func NewChromeWriter(w io.Writer) *ChromeWriter {
+	return newChromeWriter(w)
+}
+
+func newChromeWriter(w io.Writer) *ChromeWriter {
+	cw := &ChromeWriter{
+		bw:    bufio.NewWriterSize(w, 1<<16),
+		tids:  make(map[string]int),
+		buf:   make([]byte, 0, 256),
+		first: true,
+	}
+	_, cw.err = cw.bw.WriteString("{\"traceEvents\":[\n")
+	return cw
+}
+
+// Emit stamps one event and writes it out.
+func (cw *ChromeWriter) Emit(ev Event) {
+	cw.mu.Lock()
+	cw.seq++
+	ev.Seq = cw.seq
+	cw.write(&ev)
+	cw.mu.Unlock()
+}
+
+// Close ends the traceEvents array and flushes. It does not close the
+// underlying writer.
+func (cw *ChromeWriter) Close() error {
+	cw.mu.Lock()
+	defer cw.mu.Unlock()
+	if cw.err == nil {
+		_, cw.err = cw.bw.WriteString("\n]}\n")
+	}
+	if cw.err == nil {
+		cw.err = cw.bw.Flush()
+	}
+	return cw.err
+}
+
+// record opens the next record in buf, comma-separated from the last.
+func (cw *ChromeWriter) record() {
+	cw.buf = cw.buf[:0]
+	if !cw.first {
+		cw.buf = append(cw.buf, ",\n"...)
+	}
+	cw.first = false
+}
+
+// tidOf returns the track's thread id, naming a new track with its
+// thread_name metadata record first.
+func (cw *ChromeWriter) tidOf(track string) int {
+	if track == "" {
+		track = "events"
+	}
+	id, ok := cw.tids[track]
+	if ok {
 		return id
 	}
-	// First pass assigns tids so the metadata block can lead the file.
-	for i := range events {
-		tidOf(events[i].Track)
+	id = len(cw.tids) + 1
+	cw.tids[track] = id
+	cw.record()
+	cw.buf = append(cw.buf, `{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":`...)
+	cw.buf = strconv.AppendInt(cw.buf, int64(id), 10)
+	cw.buf = append(cw.buf, `,"args":{"name":`...)
+	cw.buf = appendString(cw.buf, track)
+	cw.buf = append(cw.buf, "}}"...)
+	if cw.err == nil {
+		_, cw.err = cw.bw.Write(cw.buf)
 	}
+	return id
+}
 
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString("{\"traceEvents\":[\n"); err != nil {
-		return err
+// write encodes one event, keeping its Seq as the timestamp.
+func (cw *ChromeWriter) write(ev *Event) {
+	if cw.err != nil {
+		return
 	}
-	buf := make([]byte, 0, 256)
-	first := true
-	for _, track := range order {
-		buf = buf[:0]
-		if !first {
-			buf = append(buf, ",\n"...)
-		}
-		first = false
-		buf = append(buf, `{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":`...)
-		buf = strconv.AppendInt(buf, int64(tids[track]), 10)
-		buf = append(buf, `,"args":{"name":`...)
-		buf = appendString(buf, track)
-		buf = append(buf, "}}"...)
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
+	tid := cw.tidOf(ev.Track)
+	if cw.err != nil {
+		return
 	}
-	for i := range events {
-		ev := &events[i]
-		ph := ev.Kind.phase()
-		buf = buf[:0]
-		if !first {
-			buf = append(buf, ",\n"...)
-		}
-		first = false
-		buf = append(buf, `{"name":`...)
-		buf = appendString(buf, displayName(*ev))
-		buf = append(buf, `,"ph":"`...)
-		buf = append(buf, ph)
-		buf = append(buf, `","ts":`...)
-		buf = strconv.AppendUint(buf, ev.Seq, 10)
-		buf = append(buf, `,"pid":1,"tid":`...)
-		buf = strconv.AppendInt(buf, int64(tidOf(ev.Track)), 10)
-		if ph == 'i' {
-			buf = append(buf, `,"s":"t"`...)
-		}
-		buf = appendArgs(buf, *ev)
-		buf = append(buf, '}')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
+	ph := ev.Kind.phase()
+	cw.record()
+	b := cw.buf
+	b = append(b, `{"name":`...)
+	b = appendString(b, displayName(*ev))
+	b = append(b, `,"ph":"`...)
+	b = append(b, ph)
+	b = append(b, `","ts":`...)
+	b = strconv.AppendUint(b, ev.Seq, 10)
+	b = append(b, `,"pid":1,"tid":`...)
+	b = strconv.AppendInt(b, int64(tid), 10)
+	if ph == 'i' {
+		b = append(b, `,"s":"t"`...)
 	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	b = appendArgs(b, *ev)
+	b = append(b, '}')
+	cw.buf = b
+	_, cw.err = cw.bw.Write(b)
 }
 
 // ValidateChromeTrace checks data against the trace-event schema: a

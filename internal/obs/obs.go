@@ -64,7 +64,6 @@ const (
 	KindRollback
 	// Portfolio variant lifecycle (CompilePortfolio).
 	KindVariantBegin
-	KindVariantCancel
 	KindVariantWin
 	// Simulator events: one operation issue and one register-file
 	// writeback, re-emitted by internal/vliwsim through this schema.
@@ -83,42 +82,32 @@ const (
 	// state already proven unsatisfiable, so no search ran. Value is
 	// the engine's running memo-hit count.
 	KindPermMemo
-	// Speculative initiation-interval ladder lifecycle
-	// (core.Options.Speculate). KindSpecRung marks a rung evaluated
-	// speculatively ahead of the search walk (II is the rung's
-	// interval); KindSpecCancel marks a speculative rung cancelled
-	// because the walk proved it could no longer be consumed.
-	KindSpecRung
-	KindSpecCancel
 )
 
 var kindNames = [...]string{
-	KindPassBegin:     "pass-begin",
-	KindPassEnd:       "pass-end",
-	KindIIBegin:       "ii-begin",
-	KindIIEnd:         "ii-end",
-	KindOpPlace:       "op-place",
-	KindCommOpen:      "comm-open",
-	KindCommClose:     "comm-close",
-	KindCommSplit:     "comm-split",
-	KindStubWrite:     "stub-write",
-	KindStubRead:      "stub-read",
-	KindPermAttempt:   "perm-attempt",
-	KindPermReject:    "perm-reject",
-	KindPermAccept:    "perm-accept",
-	KindCopyInsert:    "copy-insert",
-	KindRollback:      "rollback",
-	KindVariantBegin:  "variant-begin",
-	KindVariantCancel: "variant-cancel",
-	KindVariantWin:    "variant-win",
-	KindSimIssue:      "sim-issue",
-	KindSimWriteback:  "sim-writeback",
-	KindCancel:        "cancel",
-	KindDegrade:       "degrade",
-	KindRecover:       "recover",
-	KindPermMemo:      "perm-memo",
-	KindSpecRung:      "spec-rung",
-	KindSpecCancel:    "spec-cancel",
+	KindPassBegin:    "pass-begin",
+	KindPassEnd:      "pass-end",
+	KindIIBegin:      "ii-begin",
+	KindIIEnd:        "ii-end",
+	KindOpPlace:      "op-place",
+	KindCommOpen:     "comm-open",
+	KindCommClose:    "comm-close",
+	KindCommSplit:    "comm-split",
+	KindStubWrite:    "stub-write",
+	KindStubRead:     "stub-read",
+	KindPermAttempt:  "perm-attempt",
+	KindPermReject:   "perm-reject",
+	KindPermAccept:   "perm-accept",
+	KindCopyInsert:   "copy-insert",
+	KindRollback:     "rollback",
+	KindVariantBegin: "variant-begin",
+	KindVariantWin:   "variant-win",
+	KindSimIssue:     "sim-issue",
+	KindSimWriteback: "sim-writeback",
+	KindCancel:       "cancel",
+	KindDegrade:      "degrade",
+	KindRecover:      "recover",
+	KindPermMemo:     "perm-memo",
 }
 
 // String names the kind for exports and diagnostics.
@@ -137,7 +126,7 @@ func (k Kind) String() string {
 // for time, making recorded streams deterministic.
 type Event struct {
 	Seq uint64
-	// Value is a small payload: rollback length, cancel count, or the
+	// Value is a small payload: rollback length, memo-hit count, or the
 	// simulator's computed result; HasValue marks it meaningful. Args
 	// carries the simulator's resolved operand values.
 	Value int64

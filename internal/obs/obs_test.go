@@ -87,6 +87,30 @@ func TestWriteChromeTraceValidatesAndIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestChromeWriterMatchesWriteChromeTrace pins the streaming exporter
+// to the batch one: attached as the tracer, it must write the very
+// bytes WriteChromeTrace renders from the same stream once recorded.
+func TestChromeWriterMatchesWriteChromeTrace(t *testing.T) {
+	var batch, streamed bytes.Buffer
+	if err := WriteChromeTrace(&batch, sampleStream()); err != nil {
+		t.Fatal(err)
+	}
+	cw := NewChromeWriter(&streamed)
+	for _, ev := range sampleStream() {
+		ev.Seq = 0 // the writer stamps its own clock
+		cw.Emit(ev)
+	}
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(batch.Bytes(), streamed.Bytes()) {
+		t.Fatalf("streamed trace differs from batch export:\n%s\nvs\n%s", streamed.String(), batch.String())
+	}
+	if err := ValidateChromeTrace(streamed.Bytes()); err != nil {
+		t.Fatalf("streamed trace fails schema check: %v", err)
+	}
+}
+
 func TestValidateChromeTraceRejectsMalformed(t *testing.T) {
 	cases := map[string]string{
 		"not json":       `{"traceEvents":[`,
