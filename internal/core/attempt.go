@@ -297,16 +297,23 @@ func (e *engine) rootValue(v ir.ValueID) ir.ValueID {
 }
 
 // recordDeposit indexes the closed route's write stub under the value's
-// root, journaled, and bumps the per-file congestion counter.
+// root, journaled (typed record), and bumps the per-file congestion
+// counter.
 func (e *engine) recordDeposit(c *comm) {
 	root := e.rootValue(c.value)
 	e.deposits[root] = append(e.deposits[root], deposit{def: c.def, stub: c.wstub})
-	rf := c.wstub.RF
-	e.depositLoad[rf]++
-	e.log(func() {
-		e.deposits[root] = e.deposits[root][:len(e.deposits[root])-1]
-		e.depositLoad[rf]--
-	})
+	e.depositLoad[c.wstub.RF]++
+	e.journal = append(e.journal, undoRec{kind: undoDeposit, c: c})
+}
+
+// dropLastDeposit reverses recordDeposit for communication c. Rollback
+// runs in reverse, so c's value resolves to the same root and the
+// root's newest deposit is c's.
+func (e *engine) dropLastDeposit(c *comm) {
+	root := e.rootValue(c.value)
+	deps := e.deposits[root]
+	e.depositLoad[deps[len(deps)-1].stub.RF]--
+	e.deposits[root] = deps[:len(deps)-1]
 }
 
 // closeOnDeposit tries to close c against an existing deposit of the

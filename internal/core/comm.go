@@ -119,16 +119,23 @@ func (e *engine) buildComms() {
 			}
 			for si, src := range arg.Srcs {
 				def := e.kern.Values[src.Value].Def
-				e.newComm(def, op.ID, slot, si, src.Value, src.Distance, noComm)
+				e.addComm(def, op.ID, slot, si, src.Value, src.Distance, noComm)
 			}
 		}
 	}
 }
 
-// newComm allocates a communication and registers it in the per-op
-// indices. It is journaled so attempts that create communications (copy
-// insertion) can be rolled back.
+// newComm is addComm journaled, so attempts that create communications
+// (copy insertion, deposit reuse) can be rolled back.
 func (e *engine) newComm(def, use ir.OpID, slot, srcIndex int, value ir.ValueID, distance int, parent CommID) CommID {
+	id := e.addComm(def, use, slot, srcIndex, value, distance, parent)
+	e.journal = append(e.journal, undoRec{kind: undoNewComm})
+	return id
+}
+
+// addComm allocates a communication and registers it in the per-op
+// indices.
+func (e *engine) addComm(def, use ir.OpID, slot, srcIndex int, value ir.ValueID, distance int, parent CommID) CommID {
 	c := &comm{
 		id:       CommID(len(e.comms)),
 		def:      def,
@@ -143,34 +150,18 @@ func (e *engine) newComm(def, use ir.OpID, slot, srcIndex int, value ir.ValueID,
 	e.comms = append(e.comms, c)
 	e.commsFrom[def] = append(e.commsFrom[def], c.id)
 	e.commsTo[use] = append(e.commsTo[use], c.id)
-	e.log(func() {
-		e.comms = e.comms[:len(e.comms)-1]
-		e.commsFrom[def] = e.commsFrom[def][:len(e.commsFrom[def])-1]
-		e.commsTo[use] = e.commsTo[use][:len(e.commsTo[use])-1]
-	})
 	return c.id
 }
 
-// activeCommsFrom returns the non-split communications whose def is op.
-func (e *engine) activeCommsFrom(op ir.OpID) []CommID {
-	var out []CommID
-	for _, id := range e.commsFrom[op] {
-		if e.comms[id].state != commSplit {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// activeCommsTo returns the non-split communications whose use is op.
-func (e *engine) activeCommsTo(op ir.OpID) []CommID {
-	var out []CommID
-	for _, id := range e.commsTo[op] {
-		if e.comms[id].state != commSplit {
-			out = append(out, id)
-		}
-	}
-	return out
+// dropLastComm reverses newComm: the newest communication leaves the
+// table and both per-op indices.
+func (e *engine) dropLastComm() {
+	n := len(e.comms) - 1
+	c := e.comms[n]
+	e.commsFrom[c.def] = e.commsFrom[c.def][:len(e.commsFrom[c.def])-1]
+	e.commsTo[c.use] = e.commsTo[c.use][:len(e.commsTo[c.use])-1]
+	e.comms[n] = nil
+	e.comms = e.comms[:n]
 }
 
 // setCommState transitions a communication's state, journaled (typed

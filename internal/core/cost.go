@@ -25,9 +25,9 @@ import (
 // cycle").
 func (e *engine) commCost(id ir.OpID, fu machine.FUID, cycle int) float64 {
 	cost := 0.0
-	for _, cid := range e.activeCommsTo(id) {
+	for _, cid := range e.commsTo[id] {
 		c := e.comms[cid]
-		if c.state == commClosed {
+		if c.state == commClosed || c.state == commSplit {
 			continue
 		}
 		req := e.requiredCopiesTo(c, fu)
@@ -43,9 +43,9 @@ func (e *engine) commCost(id ir.OpID, fu machine.FUID, cycle int) float64 {
 		}
 		cost += float64(req) / float64(1+e.rangeEstimateTo(c, id, cycle))
 	}
-	for _, cid := range e.activeCommsFrom(id) {
+	for _, cid := range e.commsFrom[id] {
 		c := e.comms[cid]
-		if c.state == commClosed || c.def == c.use {
+		if c.state == commClosed || c.state == commSplit || c.def == c.use {
 			continue // self-recurrences were counted above
 		}
 		req := e.requiredCopiesFrom(c, fu)

@@ -144,3 +144,47 @@ func TestAttemptRollbackUnderConflict(t *testing.T) {
 	}
 	t.Logf("verified %d rejected attempts restored state exactly", rejections)
 }
+
+// TestCommittedPlacementEmptiesJournal pins the journal bound: nothing
+// rolls back past an accepted top-level placement, so scheduleOp
+// empties the journal on success and it never holds more than one
+// placement's records. Intervals are tried upward from 1, op by op, so
+// the infeasible ones also exercise the rejection path, whose residue
+// check is the one TestRollbackLeavesNoTrace makes.
+func TestCommittedPlacementEmptiesJournal(t *testing.T) {
+	k := wideLoopKernel(t, 6)
+	for _, m := range []*machine.Machine{machine.Clustered(4), machine.Distributed()} {
+		g := depgraph.Build(k, m)
+		feasible := false
+		for ii := 1; ii < 64 && !feasible; ii++ {
+			if !g.RecMIIFeasible(ii) {
+				continue
+			}
+			e := newEngine(k, m, g, Options{}, ii)
+			feasible = true
+			for _, block := range []ir.BlockKind{ir.LoopBlock, ir.PreambleBlock} {
+				for _, id := range e.graph.PriorityOrder(block) {
+					before := e.fingerprint()
+					if e.scheduleOp(id) {
+						if n := len(e.journal); n != 0 {
+							t.Fatalf("%s II=%d: op %d committed with %d journal records left", m.Name, ii, id, n)
+						}
+						continue
+					}
+					if after := e.fingerprint(); after != before {
+						t.Fatalf("%s II=%d: failed scheduleOp left residue:\n--- before ---\n%s\n--- after ---\n%s",
+							m.Name, ii, before, after)
+					}
+					feasible = false
+					break
+				}
+				if !feasible {
+					break
+				}
+			}
+		}
+		if !feasible {
+			t.Fatalf("%s: no feasible interval below 64", m.Name)
+		}
+	}
+}

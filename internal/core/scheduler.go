@@ -451,6 +451,7 @@ func (e *engine) scheduleOp(id ir.OpID) bool {
 				continue
 			}
 			if e.attempt(id, cycle, fu) {
+				e.commit()
 				return true
 			}
 			if budget--; budget <= 0 {

@@ -27,9 +27,9 @@ func TestSeparateCommsPerOperand(t *testing.T) {
 	mulID := k.Loop[2]
 	n := 0
 	slots := map[int]bool{}
-	for _, cid := range e.activeCommsTo(mulID) {
+	for _, cid := range e.commsTo[mulID] {
 		c := e.comms[cid]
-		if c.value == x {
+		if c.state != commSplit && c.value == x {
 			n++
 			slots[c.slot] = true
 		}

@@ -243,13 +243,16 @@ func (e *engine) choiceScratch(n int) []int {
 	return e.choiceBuf[:n]
 }
 
-// undoKind discriminates journal records. The frequent solver-path
-// mutations get typed records so recording them allocates nothing;
+// undoKind discriminates journal records. The mutations every attempt
+// makes get typed records so recording them allocates nothing;
 // cold-path mutations journal an arbitrary closure.
 type undoKind uint8
 
 const (
 	undoFn undoKind = iota
+	undoPlace
+	undoNewComm
+	undoDeposit
 	undoCommW
 	undoCommState
 	undoOperandStub
@@ -262,8 +265,10 @@ const (
 // reverse each mutation kind.
 type undoRec struct {
 	kind    undoKind
-	fn      func() // undoFn
-	c       *comm  // undoCommW, undoCommState
+	fn      func()    // undoFn
+	c       *comm     // undoCommW, undoCommState, undoDeposit
+	op      ir.OpID   // undoPlace
+	pl      placement // undoPlace: previous placement of op
 	key     OperandKey
 	t       tKey
 	or      operandRead // undoOperandStub: previous assignment
@@ -326,6 +331,20 @@ func (e *engine) log(undo func()) { e.journal = append(e.journal, undoRec{kind: 
 // mark returns a journal position for later rollback.
 func (e *engine) mark() int { return len(e.journal) }
 
+// commit empties the journal once a top-level placement is accepted.
+// Every mark is taken inside attempt, or inside the routing and copy
+// insertion it drives, so nothing rolls back past an accepted depth-0
+// placement. The journal therefore peaks at one placement's records,
+// and its capacity is reused; clearing the dropped records first keeps
+// them from pinning closures or communications.
+func (e *engine) commit() {
+	if e.depth != 0 {
+		return
+	}
+	clear(e.journal)
+	e.journal = e.journal[:0]
+}
+
 // rollback undoes every mutation after the mark, in reverse order.
 func (e *engine) rollback(mark int) {
 	e.traceRollback(len(e.journal) - mark)
@@ -335,6 +354,12 @@ func (e *engine) rollback(mark int) {
 		case undoFn:
 			r.fn()
 			r.fn = nil
+		case undoPlace:
+			e.unplaceOp(r.op, r.pl)
+		case undoNewComm:
+			e.dropLastComm()
+		case undoDeposit:
+			e.dropLastDeposit(r.c)
 		case undoCommW:
 			r.c.wstub, r.c.hasW, r.c.wPinned = r.wstub, r.hasW, r.wPinned
 		case undoCommState:
@@ -412,20 +437,28 @@ func (e *engine) fuFree(b ir.BlockKind, fu machine.FUID, cycle int) bool {
 }
 
 // placeOp records op's placement and reserves its functional unit,
-// journaled. The caller must have checked fuFree.
+// journaled (one typed record). The caller must have checked fuFree.
 func (e *engine) placeOp(id ir.OpID, fu machine.FUID, cycle int) {
 	e.traceOpPlace(id, fu, cycle)
-	b := e.ops[id].Block
-	old := e.place[id]
+	e.journal = append(e.journal, undoRec{kind: undoPlace, op: id, pl: e.place[id]})
 	e.place[id] = placement{fu: fu, cycle: cycle, ok: true}
 	e.fuLoad[fu]++
-	e.log(func() { e.place[id] = old; e.fuLoad[fu]-- })
-	interval := e.mach.FU(fu).IssueInterval
-	for t := cycle; t < cycle+interval; t++ {
-		k := fuKey{b, fu, e.slotOf(b, t)}
-		e.fuAt[k] = id
-		e.log(func() { delete(e.fuAt, k) })
+	b := e.ops[id].Block
+	for t := cycle; t < cycle+e.mach.FU(fu).IssueInterval; t++ {
+		e.fuAt[fuKey{b, fu, e.slotOf(b, t)}] = id
 	}
+}
+
+// unplaceOp reverses placeOp: it frees op's issue slots and unit load
+// and restores the placement it replaced.
+func (e *engine) unplaceOp(id ir.OpID, old placement) {
+	pl := e.place[id]
+	b := e.ops[id].Block
+	for t := pl.cycle; t < pl.cycle+e.mach.FU(pl.fu).IssueInterval; t++ {
+		delete(e.fuAt, fuKey{b, pl.fu, e.slotOf(b, t)})
+	}
+	e.fuLoad[pl.fu]--
+	e.place[id] = old
 }
 
 // indexOpStubs registers the stub cycle positions implied by op's
@@ -435,8 +468,10 @@ func (e *engine) placeOp(id ir.OpID, fu machine.FUID, cycle int) {
 func (e *engine) indexOpStubs(id ir.OpID) {
 	op := e.ops[id]
 	wk := e.completionSlotKey(id)
-	for _, cid := range e.activeCommsFrom(id) {
-		e.appendWritesAt(wk, cid)
+	for _, cid := range e.commsFrom[id] {
+		if e.comms[cid].state != commSplit {
+			e.appendWritesAt(wk, cid)
+		}
 	}
 	rk := e.issueSlotKey(id)
 	for slot, arg := range op.Args {

@@ -13,11 +13,12 @@ import (
 // §4.3/§4.4 solver hot path: once an engine's scratch state is warm,
 // solveWrites and solveReads allocate nothing. Candidate lists come
 // interned from the machine's routing index or carved from the reused
-// arena, the flex/choice working sets and the undo journal reuse their
-// capacity, and the per-solve dedup is epoch-stamped rather than a
-// fresh map. Each measured solve is bracketed by mark/rollback, the
-// same discipline attempt uses, so the journal never grows past its
-// warmed capacity.
+// arena, the flex/choice working sets reuse their capacity, and the
+// per-solve dedup is epoch-stamped rather than a fresh map. The undo
+// journal holds at most one placement's records (scheduleOp empties it
+// on every committed placement) and keeps its capacity; each measured
+// solve is bracketed by mark/rollback, the same discipline attempt
+// uses, so it never grows past its warmed capacity.
 func TestSolverHotPathZeroAlloc(t *testing.T) {
 	k := wideLoopKernel(t, 4)
 	for _, m := range []*machine.Machine{machine.Central(), machine.Clustered(4), machine.Distributed()} {
@@ -66,6 +67,80 @@ func TestSolverHotPathZeroAlloc(t *testing.T) {
 		}
 		if avg := testing.AllocsPerRun(10, resolve); avg != 0 {
 			t.Errorf("%s: solver hot path allocates %.1f times per full re-solve, want 0", m.Name, avg)
+		}
+	}
+}
+
+// TestAttemptLayerZeroAlloc extends the zero-allocation contract from
+// the solver to the attempt layer that drives it. The loop is scheduled
+// once to find the last operation whose placement closed every
+// communication directly — no copy inserted and no deposit reused, the
+// two cold paths that allocate new operations or communications. A
+// second, identical run stops just before it. On that warm engine the
+// §4.6 cost of every (operation, candidate unit) pair and an
+// attempt/rollback cycle of the held-out placement allocate nothing.
+func TestAttemptLayerZeroAlloc(t *testing.T) {
+	k := wideLoopKernel(t, 4)
+	for _, m := range []*machine.Machine{machine.Central(), machine.Clustered(4), machine.Distributed()} {
+		g := depgraph.Build(k, m)
+		order := g.PriorityOrder(ir.LoopBlock)
+		ii, held := 0, -1
+		var pl placement
+		for try := 1; try < 64 && held < 0; try++ {
+			if !g.RecMIIFeasible(try) {
+				continue
+			}
+			full := newEngine(k, m, g, Options{}, try)
+			direct := -1
+			for i, id := range order {
+				comms := len(full.comms)
+				if !full.scheduleOp(id) {
+					direct = -1
+					break
+				}
+				if len(full.comms) == comms {
+					direct = i
+				}
+			}
+			if direct >= 0 {
+				ii, held, pl = try, direct, full.place[order[direct]]
+			}
+		}
+		if held < 0 {
+			t.Fatalf("%s: no directly routed placement in a feasible schedule", m.Name)
+		}
+		e := newEngine(k, m, g, Options{}, ii)
+		for _, id := range order[:held] {
+			if !e.scheduleOp(id) {
+				t.Fatalf("%s: replay of op %d failed", m.Name, id)
+			}
+		}
+
+		cost := func() {
+			for _, op := range e.ops {
+				for _, fu := range e.mach.UnitsFor(op.Opcode.Class()) {
+					e.commCost(op.ID, fu, e.place[op.ID].cycle)
+				}
+			}
+		}
+		cost()
+		if avg := testing.AllocsPerRun(10, cost); avg != 0 {
+			t.Errorf("%s: commCost over every (op, unit) allocates %.1f times, want 0", m.Name, avg)
+		}
+
+		id := order[held]
+		place := func() {
+			mk, comms := e.mark(), len(e.comms)
+			if !e.attempt(id, pl.cycle, pl.fu) || len(e.comms) != comms {
+				t.Fatalf("%s: op %d at %d on unit %d no longer routes directly", m.Name, id, pl.cycle, pl.fu)
+			}
+			e.rollback(mk)
+		}
+		for i := 0; i < 3; i++ {
+			place()
+		}
+		if avg := testing.AllocsPerRun(10, place); avg != 0 {
+			t.Errorf("%s: attempt/rollback of a directly routed placement allocates %.1f times, want 0", m.Name, avg)
 		}
 	}
 }
