@@ -48,6 +48,7 @@ import (
 
 	commsched "repro"
 	"repro/internal/daemon"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -162,10 +163,21 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	opts := commsched.Options{CycleOrder: *cycleOrder, NoCostHeuristic: *noCost}
-	var rec *commsched.TraceRecorder
+	// -trace streams events into the file as they arrive: a traced
+	// hard kernel emits millions of events, too many to hold in memory.
+	var (
+		tw *obs.ChromeWriter
+		tf *traceFile
+	)
 	if *trace != "" {
-		rec = commsched.NewTraceRecorder()
-		opts.Tracer = rec
+		var err error
+		if tf, err = createTraceFile(*trace); err != nil {
+			fmt.Fprintln(stderr, "csched:", err)
+			return 1
+		}
+		defer tf.discard()
+		tw = obs.NewChromeWriter(tf)
+		opts.Tracer = tw
 	}
 	if *degrade {
 		opts.Degrade = commsched.DefaultDegradeLadder()
@@ -284,10 +296,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if *simTrace {
 			cfg.Trace = stdout
 		}
-		if rec != nil {
-			// Simulation events land in the same recorder, after the
+		if tw != nil {
+			// Simulation events land in the same stream, after the
 			// compilation's, so one exported trace covers both.
-			cfg.Tracer = rec
+			cfg.Tracer = tw
 		}
 		res, err := commsched.Simulate(s, cfg)
 		if err != nil {
@@ -303,12 +315,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			res.IterationsRun, res.Cycles, res.Reads, res.Writes, res.BusTransfers)
 	}
 
-	if rec != nil {
-		if err := writeTrace(*trace, rec); err != nil {
+	if tw != nil {
+		err := tw.Close()
+		if err == nil {
+			err = tf.commit()
+		}
+		if err != nil {
 			fmt.Fprintln(stderr, "csched:", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "\nwrote %d trace events to %s\n", rec.Len(), *trace)
+		fmt.Fprintf(stdout, "\nwrote %d trace events to %s\n", tw.Len(), *trace)
 	}
 	if *statsJSON != "" {
 		if err := writeStats(*statsJSON, stdout, k, s, pfStats); err != nil {
@@ -335,18 +351,43 @@ func writeMemProfile(path string) error {
 	return f.Close()
 }
 
-// writeTrace exports the recorded event stream as Chrome trace-event
-// JSON.
-func writeTrace(path string, rec *commsched.TraceRecorder) error {
-	f, err := os.Create(path)
-	if err != nil {
+// traceFile is where -trace streams: a temporary file beside the
+// target, renamed over it once the run succeeds, so a failed run leaves
+// no trace file. A target that exists and is not a regular file
+// (/dev/null, a pipe) is written directly.
+type traceFile struct {
+	*os.File
+	target string // rename target; "" once committed or written directly
+}
+
+func createTraceFile(path string) (*traceFile, error) {
+	if fi, err := os.Stat(path); err == nil && !fi.Mode().IsRegular() {
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		return &traceFile{File: f}, err
+	}
+	f, err := os.Create(path + ".tmp")
+	return &traceFile{File: f, target: path}, err
+}
+
+// commit closes the file and moves it into place.
+func (tf *traceFile) commit() error {
+	if err := tf.Close(); err != nil {
 		return err
 	}
-	if err := commsched.WriteChromeTrace(f, rec.Events()); err != nil {
-		f.Close()
-		return err
+	if tf.target == "" {
+		return nil
 	}
-	return f.Close()
+	err := os.Rename(tf.Name(), tf.target)
+	tf.target = ""
+	return err
+}
+
+// discard removes an uncommitted temporary file.
+func (tf *traceFile) discard() {
+	tf.Close()
+	if tf.target != "" {
+		os.Remove(tf.Name())
+	}
 }
 
 // writeStats dumps machine-readable schedule statistics; path "-"

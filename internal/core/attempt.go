@@ -123,15 +123,9 @@ func (e *engine) commSeen(cid CommID) bool {
 // stages (insert-copies, and the place work of scheduling the copies)
 // attributed to themselves.
 func (e *engine) closeComm(c *comm) bool {
-	e.clock.push(PassCloseComms)
-	e.traceStageBegin(PassCloseComms)
-	ok := e.routeComm(c)
-	e.traceStageEnd(PassCloseComms, ok)
-	e.clock.pop()
+	ok := stage(e.clock, e.tracer, PassCloseComms, e.ii, func() bool { return e.routeComm(c) })
 	if ok {
-		e.clock.step(PassCloseComms)
-	} else {
-		e.clock.fail(PassCloseComms)
+		e.clock.Step(PassCloseComms, 1)
 	}
 	return ok
 }

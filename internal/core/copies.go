@@ -23,15 +23,9 @@ const maxCopyDepth = 6
 // chain bridged is one step, each range or depth exhaustion one
 // failure.
 func (e *engine) insertCopies(c *comm, preferLate bool) bool {
-	e.clock.push(PassInsertCopies)
-	e.traceStageBegin(PassInsertCopies)
-	ok := e.insertCopyChain(c, preferLate)
-	e.traceStageEnd(PassInsertCopies, ok)
-	e.clock.pop()
+	ok := stage(e.clock, e.tracer, PassInsertCopies, e.ii, func() bool { return e.insertCopyChain(c, preferLate) })
 	if ok {
-		e.clock.step(PassInsertCopies)
-	} else {
-		e.clock.fail(PassInsertCopies)
+		e.clock.Step(PassInsertCopies, 1)
 	}
 	return ok
 }

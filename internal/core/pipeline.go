@@ -13,6 +13,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/ir"
 	"repro/internal/machine"
+	"repro/internal/obs"
 )
 
 // This file is the pass-pipeline spine of the compiler. Compile used to
@@ -25,8 +26,9 @@ import (
 //
 // The close-comms and insert-copies stages run inside place (they are
 // invoked per tentative operation placement, not once per interval) but
-// are clocked as passes of their own through the engine's passClock, so
-// `csched -passes` shows where scheduling time actually goes. Pass
+// are clocked as passes of their own: the compilation's obs.Clock is a
+// stack, so each nested run's self time is its own, and `csched
+// -passes` shows where scheduling time actually goes. Pass
 // decomposition changes no decisions: the pipeline emits bit-identical
 // schedules to the pre-pipeline compiler (pinned by the differential
 // goldens under internal/kernels/testdata/schedules).
@@ -68,8 +70,8 @@ type Pass interface {
 // Compilation is the context shared by every pass: the inputs, the
 // products of earlier passes, and the instrumentation. Compile creates
 // one per call; each initiation-interval attempt additionally gets a
-// lightweight per-attempt Compilation wrapping its engine, whose pass
-// stats are merged into the parent's.
+// lightweight per-attempt Compilation wrapping its engine, pushing into
+// the clock the attempt is handed.
 type Compilation struct {
 	Kernel  *ir.Kernel
 	Machine *machine.Machine
@@ -87,13 +89,13 @@ type Compilation struct {
 
 	eng   *engine
 	sched *Schedule
-	clock *passClock
+	clock *obs.Clock
 }
 
-// runPass drives one pass under the clock, counting a failure when it
-// errors and bracketing it with trace events. The pass name is attached
-// as a pprof label, so CPU and allocation profiles (csched -cpuprofile
-// / -memprofile) attribute samples to pipeline stages.
+// runPass drives one pass as a clocked, traced stage, counting a
+// failure when it errors. The pass name is attached as a pprof label,
+// so CPU and allocation profiles (csched -cpuprofile / -memprofile)
+// attribute samples to pipeline stages.
 //
 // Every pass body runs under panic recovery: an invariant violation
 // anywhere in the pass (the solver, copy insertion, buildSchedule's
@@ -104,26 +106,22 @@ type Compilation struct {
 // firing Panic rule exercises exactly this recovery path, and a firing
 // Exhaust rule fails the pass as if its search budget were spent.
 func (c *Compilation) runPass(p Pass) error {
-	c.clock.push(p.Name())
-	c.tracePassBegin(p.Name())
 	var err error
-	pprof.Do(context.Background(), pprof.Labels("pass", p.Name()), func(context.Context) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = c.recoverPass(p.Name(), r)
+	stage(c.clock, c.Opts.Tracer, p.Name(), c.II, func() bool {
+		pprof.Do(context.Background(), pprof.Labels("pass", p.Name()), func(context.Context) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = c.recoverPass(p.Name(), r)
+				}
+			}()
+			if c.Opts.Faults.Probe(faultinject.SitePass, p.Name()) {
+				err = passExhausted(p.Name())
+				return
 			}
-		}()
-		if c.Opts.Faults.Probe(faultinject.SitePass, p.Name()) {
-			err = passExhausted(p.Name())
-			return
-		}
-		err = p.Run(c)
+			err = p.Run(c)
+		})
+		return err == nil
 	})
-	c.tracePassEnd(p.Name(), err == nil)
-	c.clock.pop()
-	if err != nil {
-		c.clock.fail(p.Name())
-	}
 	return err
 }
 
@@ -230,53 +228,16 @@ func (ps PassStats) String() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// passClock measures pass self-time on a stack: push suspends the
-// caller's accumulation, pop resumes it, so recursive stages (place →
-// close-comms → insert-copies → place again, through copy scheduling)
-// attribute every nanosecond to exactly one pass.
-type passClock struct {
-	stats PassStats
-	stack []clockFrame
-}
-
-type clockFrame struct {
-	name  string
-	start time.Time
-}
-
-func (pc *passClock) get(name string) *PassStat {
-	if st := pc.stats.Get(name); st != nil {
-		return st
+// passStats projects a clock's stages into canonically ordered
+// PassStats.
+func passStats(clk *obs.Clock) PassStats {
+	ps := make(PassStats, 0, len(clk.Stages()))
+	for _, st := range clk.Stages() {
+		ps = append(ps, PassStat{Name: st.Name, Runs: st.Runs, Steps: st.Steps, Fails: st.Fails, Wall: st.Wall})
 	}
-	pc.stats = append(pc.stats, PassStat{Name: name})
-	return &pc.stats[len(pc.stats)-1]
+	ps.sortCanonical()
+	return ps
 }
-
-func (pc *passClock) push(name string) {
-	now := time.Now()
-	if n := len(pc.stack); n > 0 {
-		f := &pc.stack[n-1]
-		pc.get(f.name).Wall += now.Sub(f.start)
-		f.start = now
-	}
-	pc.get(name).Runs++
-	pc.stack = append(pc.stack, clockFrame{name: name, start: now})
-}
-
-func (pc *passClock) pop() {
-	now := time.Now()
-	n := len(pc.stack) - 1
-	f := pc.stack[n]
-	pc.stack = pc.stack[:n]
-	pc.get(f.name).Wall += now.Sub(f.start)
-	if n > 0 {
-		pc.stack[n-1].start = now
-	}
-}
-
-func (pc *passClock) step(name string)            { pc.get(name).Steps++ }
-func (pc *passClock) addSteps(name string, n int) { pc.get(name).Steps += n }
-func (pc *passClock) fail(name string)            { pc.get(name).Fails++ }
 
 // lowerPass readies the kernel for scheduling: IR verification, the
 // unit-coverage check, dependence-graph construction, and the interval
@@ -302,7 +263,7 @@ func (lowerPass) Run(c *Compilation) error {
 	if c.MaxII == 0 {
 		c.MaxII = deriveMaxII(c.Kernel, c.MinII)
 	}
-	c.clock.addSteps(PassLower, len(c.Kernel.Ops))
+	c.clock.Step(PassLower, len(c.Kernel.Ops))
 	if c.MaxII < c.MinII {
 		// Inverted interval bounds: the user cap is below the
 		// resource/recurrence floor, so no interval can be tried.
@@ -346,7 +307,7 @@ func (prioritizePass) Run(c *Compilation) error {
 			order = e.cycleOrder(block)
 		}
 		e.order[block] = order
-		e.clock.addSteps(PassPrioritize, len(order))
+		e.clock.Step(PassPrioritize, len(order))
 	}
 	return nil
 }
@@ -362,7 +323,7 @@ func (preassignPass) Run(c *Compilation) error {
 	e := c.eng
 	for _, block := range []ir.BlockKind{ir.LoopBlock, ir.PreambleBlock} {
 		e.preassign(e.order[block])
-		e.clock.addSteps(PassPreassign, len(e.order[block]))
+		e.clock.Step(PassPreassign, len(e.order[block]))
 	}
 	return nil
 }
@@ -387,7 +348,7 @@ func (placePass) Run(c *Compilation) error {
 			if e.cancelled() || !e.scheduleOp(id) {
 				return errInfeasible
 			}
-			e.clock.step(PassPlace)
+			e.clock.Step(PassPlace, 1)
 		}
 	}
 	return nil
@@ -412,7 +373,7 @@ func (regallocPass) Run(c *Compilation) error {
 				rf.Name, d, rf.NumRegs)
 		}
 	}
-	c.clock.addSteps(PassRegalloc, len(c.sched.RegDemand))
+	c.clock.Step(PassRegalloc, len(c.sched.RegDemand))
 	return nil
 }
 
@@ -481,7 +442,7 @@ func (verifyPass) Run(c *Compilation) error {
 	if err := VerifySchedule(c.sched); err != nil {
 		return &CompileError{Pass: PassVerify, Reason: err.Error(), Op: NoOp}
 	}
-	c.clock.addSteps(PassVerify, len(c.sched.Routes))
+	c.clock.Step(PassVerify, len(c.sched.Routes))
 	return nil
 }
 

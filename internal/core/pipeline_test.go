@@ -5,10 +5,12 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ir"
 	"repro/internal/kernels"
 	"repro/internal/machine"
+	"repro/internal/obs"
 )
 
 func TestOptionsValidate(t *testing.T) {
@@ -173,7 +175,7 @@ func TestInvertedIntervalBounds(t *testing.T) {
 
 func mustResMII(t *testing.T, k *ir.Kernel, m *machine.Machine) int {
 	t.Helper()
-	c := &Compilation{Kernel: k, Machine: m, clock: new(passClock)}
+	c := &Compilation{Kernel: k, Machine: m, clock: obs.NewClock()}
 	if err := c.runPass(lowerPass{}); err != nil {
 		t.Fatal(err)
 	}
@@ -181,6 +183,29 @@ func mustResMII(t *testing.T, k *ir.Kernel, m *machine.Machine) int {
 }
 
 func TestPassStatsPopulated(t *testing.T) {
+	// Pass walls are self times on one clock, so they sum to no more
+	// than the compile's own wall time: nested close-comms and
+	// insert-copies runs are not counted twice.
+	for _, pair := range []struct {
+		kernel string
+		m      *machine.Machine
+	}{{"DCT", machine.Distributed()}, {"FFT", machine.Clustered(2)}} {
+		k := kernels.ByName(pair.kernel).MustKernel()
+		t0 := time.Now()
+		s, err := Compile(k, pair.m, Options{})
+		wall := time.Since(t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum time.Duration
+		for _, st := range s.Passes {
+			sum += st.Wall
+		}
+		if sum > wall {
+			t.Errorf("%s/%s: pass walls sum to %v, more than the %v compile", pair.kernel, pair.m.Name, sum, wall)
+		}
+	}
+
 	k := kernels.ByName("DCT").MustKernel()
 	s, err := Compile(k, machine.Distributed(), Options{})
 	if err != nil {

@@ -152,7 +152,7 @@ type cell struct {
 	eng     *engine
 	aborted bool
 	err     error
-	ps      PassStats
+	clock   *obs.Clock    // private pass clock, folded by the walk
 	rec     *obs.Recorder // private trace, spliced by the walk
 	wall    time.Duration
 }
@@ -183,7 +183,7 @@ func CompilePortfolio(ctx context.Context, k *ir.Kernel, m *machine.Machine, bas
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c := &Compilation{Kernel: k, Machine: m, Opts: base, clock: new(passClock)}
+	c := &Compilation{Kernel: k, Machine: m, Opts: base, clock: obs.NewClock()}
 	if err := base.ValidateFor(m); err != nil {
 		return nil, nil, c.decorate(err)
 	}
@@ -244,6 +244,7 @@ func CompilePortfolio(ctx context.Context, k *ir.Kernel, m *machine.Machine, bas
 	// were spent.
 	run := func(ii, vi int, cl *cell) {
 		t0 := time.Now()
+		cl.clock = obs.NewClock()
 		defer func() {
 			if r := recover(); r != nil {
 				cl.eng, cl.aborted = nil, false
@@ -271,7 +272,7 @@ func CompilePortfolio(ctx context.Context, k *ir.Kernel, m *machine.Machine, bas
 		// deterministic, which a memo shared across racing cells would
 		// break.
 		var scratch Stats
-		cl.eng, cl.aborted, cl.err = tryII(k, m, g, opts, ii, cancel, newPermMemo(), &scratch, &cl.ps, nil)
+		cl.eng, cl.aborted, cl.err = tryII(k, m, g, opts, ii, cancel, newPermMemo(), &scratch, cl.clock, nil)
 	}
 
 	pool := pf.Pool
@@ -280,7 +281,7 @@ func CompilePortfolio(ctx context.Context, k *ir.Kernel, m *machine.Machine, bas
 	}
 	var passes PassStats
 	finish := func() {
-		stats.Passes = append(PassStats(nil), c.clock.stats...)
+		stats.Passes = passStats(c.clock)
 		stats.Passes.Merge(passes)
 		stats.Passes.sortCanonical()
 		stats.Wall = time.Since(start)
@@ -300,7 +301,7 @@ func CompilePortfolio(ctx context.Context, k *ir.Kernel, m *machine.Machine, bas
 		var cellErr error
 		for vi := range cells {
 			cl, vs := &cells[vi], &stats.Variants[vi]
-			passes.Merge(cl.ps)
+			passes.Merge(passStats(cl.clock))
 			vs.Wall += cl.wall
 			if cl.err != nil {
 				if cellErr == nil {

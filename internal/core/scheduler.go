@@ -193,7 +193,7 @@ func Compile(k *ir.Kernel, m *machine.Machine, opts Options) (*Schedule, error) 
 // context compiles on the exact pre-cancellation code path and
 // schedules stay bit-identical to it.
 func compileOnce(ctx context.Context, k *ir.Kernel, m *machine.Machine, opts Options) (*Schedule, error) {
-	c := &Compilation{Kernel: k, Machine: m, Opts: opts, clock: new(passClock)}
+	c := &Compilation{Kernel: k, Machine: m, Opts: opts, clock: obs.NewClock()}
 	if err := opts.ValidateFor(m); err != nil {
 		return nil, c.decorate(err)
 	}
@@ -227,8 +227,7 @@ func compileOnce(ctx context.Context, k *ir.Kernel, m *machine.Machine, opts Opt
 	if err := c.runPass(verifyPass{}); err != nil {
 		return nil, c.decorate(err)
 	}
-	c.clock.stats.sortCanonical()
-	c.sched.Passes = c.clock.stats
+	c.sched.Passes = passStats(c.clock)
 	c.sched.Diags = c.Diags
 	return c.sched, nil
 }
@@ -310,23 +309,23 @@ func checkUnits(k *ir.Kernel, m *machine.Machine) error {
 
 // tryII attempts to schedule the kernel at exactly one initiation
 // interval by running the per-interval passes over a fresh engine,
-// accumulating cross-interval counters into agg and per-pass stats into
-// ps (nil to skip). It returns the successful engine, or nil plus
+// accumulating cross-interval counters into agg and clocking its
+// passes on clk. It returns the successful engine, or nil plus
 // whether the attempt was abandoned by the cancellation hook rather
 // than proven infeasible; a non-nil error is an internal (recovered
 // panic) failure that must stop the whole interval search. fail, when
 // non-nil, records where placement stopped. memo, when non-nil, is the
 // shared infeasibility memo consulted and grown by the §4.4 solver.
-func tryII(k *ir.Kernel, m *machine.Machine, g *depgraph.Graph, opts Options, ii int, cancel func() bool, memo *permMemo, agg *Stats, ps *PassStats, fail *placeFail) (*engine, bool, error) {
+func tryII(k *ir.Kernel, m *machine.Machine, g *depgraph.Graph, opts Options, ii int, cancel func() bool, memo *permMemo, agg *Stats, clk *obs.Clock, fail *placeFail) (*engine, bool, error) {
 	if len(k.Loop) > 0 && !g.RecMIIFeasible(ii) {
 		return nil, false, nil
 	}
 	agg.IIsTried++
-	ac := &Compilation{Kernel: k, Machine: m, Opts: opts, Graph: g, II: ii, clock: new(passClock)}
+	ac := &Compilation{Kernel: k, Machine: m, Opts: opts, Graph: g, II: ii, clock: clk}
 	e := newEngine(k, m, g, opts, ii)
 	e.cancel = cancel
 	e.memo = memo
-	e.clock = ac.clock
+	e.clock = clk
 	ac.eng = e
 	e.traceIIBegin()
 	var failed error
@@ -337,9 +336,6 @@ func tryII(k *ir.Kernel, m *machine.Machine, g *depgraph.Graph, opts Options, ii
 		}
 	}
 	e.traceIIEnd(failed == nil)
-	if ps != nil {
-		ps.Merge(ac.clock.stats)
-	}
 	if failed == nil {
 		return e, false, nil
 	}

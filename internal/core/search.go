@@ -28,15 +28,15 @@ func probeSequence(minII, maxII int) []int {
 // runLadder walks the interval search: probe upward until the first
 // feasible interval, then refine back down to the smallest one that
 // schedules. Every attempt runs tryII with the given cancellation hook,
-// folding its accounting into agg, the compilation's pass stats, and
-// fail. It returns the winning engine (nil when nothing scheduled),
+// folding its accounting into agg and fail and clocking its passes on
+// the compilation's own clock. It returns the winning engine (nil when nothing scheduled),
 // and on abort the interval the walk was trying.
 func runLadder(c *Compilation, cancel func() bool, agg *Stats, fail *placeFail) (good *engine, abortII int, aborted bool, err error) {
 	// One infeasibility memo per walk: dead ends proven at one interval
 	// short-circuit every later interval that re-poses them.
 	memo := newPermMemo()
 	try := func(ii int) (*engine, bool, error) {
-		return tryII(c.Kernel, c.Machine, c.Graph, c.Opts, ii, cancel, memo, agg, &c.clock.stats, fail)
+		return tryII(c.Kernel, c.Machine, c.Graph, c.Opts, ii, cancel, memo, agg, c.clock, fail)
 	}
 	failedBelow := c.MinII
 	for _, ii := range probeSequence(c.MinII, c.MaxII) {

@@ -171,8 +171,9 @@ type engine struct {
 
 	// clock attributes wall time and work counters to the pipeline's
 	// passes; the nested close-comms and insert-copies stages push onto
-	// it from inside place.
-	clock *passClock
+	// it from inside place. tryII hands in the compilation's (or the
+	// portfolio cell's) clock; newEngine's own serves white-box tests.
+	clock *obs.Clock
 
 	// tracer receives structured events at every decision point (nil =
 	// tracing disabled; see trace.go for the emit sites).
@@ -300,7 +301,7 @@ func newEngine(k *ir.Kernel, m *machine.Machine, g *depgraph.Graph, opts Options
 		depositLoad: make(map[machine.RFID]int),
 		intervals:   make(map[livKey]liveInterval),
 		rfPressure:  make(map[machine.RFID]int),
-		clock:       new(passClock),
+		clock:       obs.NewClock(),
 		tracer:      opts.Tracer,
 		faults:      opts.Faults,
 		failOp:      NoOp,

@@ -15,24 +15,22 @@ import (
 // cannot perturb a scheduling decision (the differential goldens pin
 // that too).
 
-// tracePass brackets one pass run on the Compilation (track = pass
-// name).
-func (c *Compilation) tracePassBegin(name string) {
-	if c.Opts.Tracer == nil {
-		return
+// stage runs body as one run of the named pipeline stage: a push/pop
+// on the compilation's clock (self time, runs, and a failure when body
+// reports false) bracketed by pass-begin/pass-end events on the
+// stage's own track. runPass, closeComm and insertCopies all run
+// through it, so the clock and the trace cover the same intervals.
+func stage(clk *obs.Clock, t obs.Tracer, name string, ii int, body func() bool) bool {
+	clk.Push(name)
+	if t != nil {
+		t.Emit(obs.Event{Kind: obs.KindPassBegin, Track: name, Name: name, II: int32(ii)})
 	}
-	c.Opts.Tracer.Emit(obs.Event{
-		Kind: obs.KindPassBegin, Track: name, Name: name, II: int32(c.II),
-	})
-}
-
-func (c *Compilation) tracePassEnd(name string, ok bool) {
-	if c.Opts.Tracer == nil {
-		return
+	ok := body()
+	if t != nil {
+		t.Emit(obs.Event{Kind: obs.KindPassEnd, Track: name, Name: name, II: int32(ii), Ok: ok})
 	}
-	c.Opts.Tracer.Emit(obs.Event{
-		Kind: obs.KindPassEnd, Track: name, Name: name, II: int32(c.II), Ok: ok,
-	})
+	clk.Pop(ok)
+	return ok
 }
 
 // traceIIBegin/traceIIEnd bracket one initiation-interval attempt on
@@ -190,21 +188,4 @@ func traceDegrade(t obs.Tracer, rung string) {
 		return
 	}
 	t.Emit(obs.Event{Kind: obs.KindDegrade, Track: "degrade", Name: rung})
-}
-
-// traceStageBegin/traceStageEnd bracket the nested close-comms and
-// insert-copies stages, which run per tentative placement rather than
-// once per interval (mirroring their passClock attribution).
-func (e *engine) traceStageBegin(name string) {
-	if e.tracer == nil {
-		return
-	}
-	e.tracer.Emit(obs.Event{Kind: obs.KindPassBegin, Track: name, Name: name, II: int32(e.ii)})
-}
-
-func (e *engine) traceStageEnd(name string, ok bool) {
-	if e.tracer == nil {
-		return
-	}
-	e.tracer.Emit(obs.Event{Kind: obs.KindPassEnd, Track: name, Name: name, II: int32(e.ii), Ok: ok})
 }

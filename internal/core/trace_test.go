@@ -164,16 +164,14 @@ func TestDisabledTracerAllocatesNothing(t *testing.T) {
 		e.tracePerm(obs.KindPermAttempt, 0, 1)
 		e.traceCopy(c, 0)
 		e.traceRollback(5)
-		e.traceStageBegin(PassCloseComms)
-		e.traceStageEnd(PassCloseComms, true)
+		stage(e.clock, e.tracer, PassCloseComms, e.ii, func() bool { return true })
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled-tracer path allocates %v times per run, want 0", allocs)
 	}
-	comp := &Compilation{Kernel: k, Machine: m}
+	comp := &Compilation{Kernel: k, Machine: m, clock: obs.NewClock()}
 	allocs = testing.AllocsPerRun(100, func() {
-		comp.tracePassBegin(PassPlace)
-		comp.tracePassEnd(PassPlace, true)
+		stage(comp.clock, comp.Opts.Tracer, PassPlace, comp.II, func() bool { return true })
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled pass-trace path allocates %v times per run, want 0", allocs)

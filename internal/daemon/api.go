@@ -213,9 +213,9 @@ type ErrorDetail struct {
 	RetryAfterS int `json:"retry_after_s,omitempty"`
 }
 
-// StageSpan is one stage of a request's timeline as served by
-// /debug/requests: offsets and durations in fractional milliseconds
-// from the request's start.
+// StageSpan is one stage of a request's clock as served by
+// /debug/requests: the stage's first start offset from the request's
+// start and its time, both in fractional milliseconds.
 type StageSpan struct {
 	Name       string  `json:"name"`
 	StartMS    float64 `json:"start_ms"`

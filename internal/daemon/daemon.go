@@ -70,7 +70,7 @@ type Config struct {
 	// one (Server.Metrics returns it).
 	Metrics *obs.Metrics
 	// Logger receives the structured access/error log: exactly one line
-	// per compile request, carrying the request ID, stage timeline, and
+	// per compile request, carrying the request ID, per-stage times, and
 	// outcome. nil disables logging (the library default; cmd/cschedd
 	// installs a JSON logger on stderr).
 	Logger *slog.Logger
@@ -144,9 +144,8 @@ type Server struct {
 	gQueued     *obs.Gauge
 	gEntries    *obs.Gauge
 	gBytes      *obs.Gauge
-	hLatency    *obs.Histogram
 	// hRequest is the end-to-end request latency; hStages holds one
-	// histogram per request-pipeline stage, keyed by span name.
+	// histogram per request-pipeline stage, keyed by stage name.
 	hRequest *obs.Histogram
 	hStages  map[string]*obs.Histogram
 
@@ -158,7 +157,7 @@ type Server struct {
 	reqSeq   atomic.Uint64
 }
 
-// The stage names of the request timeline, in pipeline order. Each has
+// The stage names of the request clock, in pipeline order. Each has
 // a matching cschedd_stage_<name>_seconds histogram.
 const (
 	stageResolve     = "resolve"
@@ -253,8 +252,6 @@ func New(cfg Config) (*Server, error) {
 	s.gQueued = m.Gauge("cschedd_queued", "admitted compilations waiting for a worker")
 	s.gEntries = m.Gauge("cschedd_cache_entries", "schedule cache entries resident")
 	s.gBytes = m.Gauge("cschedd_cache_bytes", "schedule cache bytes resident")
-	s.hLatency = m.Histogram("cschedd_compile_seconds", "backing compilation latency",
-		[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 30})
 	s.hRequest = m.Histogram("cschedd_request_duration_seconds", "end-to-end compile request latency, cache hits and errors included",
 		[]float64{0.0001, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 30})
 	s.hStages = make(map[string]*obs.Histogram, len(requestStages))
@@ -441,10 +438,10 @@ func (s *Server) handleStatus(w http.ResponseWriter) {
 
 // handleCompile is the serving pipeline described in the package
 // comment: resolve, key, cache, singleflight, admission, compile —
-// every step span-stamped into the request's timeline, finished with
+// every step clocked as a stage of the request, finished with
 // one access-log line and one flight-recorder record.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	rm := &reqMeta{id: s.requestID(r), tl: obs.NewTimeline()}
+	rm := &reqMeta{id: s.requestID(r), clock: obs.NewClock()}
 	w.Header().Set(RequestIDHeader, rm.id)
 	defer s.finishRequest(rm)
 
@@ -456,19 +453,19 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	defer s.inflight.Done()
 	s.mRequests.Inc()
 
-	sp := rm.tl.Begin(stageResolve)
+	rm.clock.Push(stageResolve)
 	req, k, m, opts, derr := s.resolve(r)
-	rm.tl.End(sp)
+	rm.clock.Pop(derr == nil)
 	if derr != nil {
 		s.serveError(w, rm, *derr, "")
 		return
 	}
 	rm.kernel, rm.machine = k.Name, m.Name
 
-	sp = rm.tl.Begin(stageCacheProbe)
+	rm.clock.Push(stageCacheProbe)
 	key := Key(k, m, opts, req.Portfolio)
 	body, hit := s.cache.get(key)
-	rm.tl.End(sp)
+	rm.clock.Pop(true)
 	rm.key = key
 	if hit {
 		s.mHits.Inc()
@@ -479,9 +476,9 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		// Second tier: a disk hit is promoted into memory (the next
 		// probe for this key is a memory hit) and served with the
 		// "disk" disposition so operators can see warm restarts work.
-		sp = rm.tl.Begin(stageDiskProbe)
+		rm.clock.Push(stageDiskProbe)
 		dbody, dhit := s.disk.get(key)
-		rm.tl.End(sp)
+		rm.clock.Pop(true)
 		if dhit {
 			s.cachePut(key, dbody)
 			s.serveOutcome(w, rm, outcome{status: http.StatusOK, body: dbody}, "disk")
@@ -493,9 +490,9 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	f, leader := s.flights.join(key, rm.id)
 	if !leader {
 		rm.leaderID = f.leaderID
-		sp = rm.tl.Begin(stageSFWait)
+		rm.clock.Push(stageSFWait)
 		out, err := f.wait(r.Context())
-		rm.tl.End(sp)
+		rm.clock.Pop(err == nil)
 		if err != nil {
 			// The follower gave up before the leader published; it was
 			// still a join — a failed join and a failed miss are
@@ -532,12 +529,12 @@ func (s *Server) lead(r *http.Request, rm *reqMeta, key string, f *flight, req *
 	// completion; none free means the backlog is full — shed load now,
 	// with a Retry-After hint scaled to the backlog actually in front
 	// of the client.
-	sp := rm.tl.Begin(stageQueueWait)
+	rm.clock.Push(stageQueueWait)
 	select {
 	case s.queue <- struct{}{}:
-		rm.tl.End(sp)
+		rm.clock.Pop(true)
 	default:
-		rm.tl.End(sp)
+		rm.clock.Pop(false)
 		s.mRejected.Inc()
 		retryAfter := retryAfterFor(len(s.queue), s.workersN)
 		out := s.errorOutcome(http.StatusTooManyRequests, ErrorDetail{
@@ -553,13 +550,13 @@ func (s *Server) lead(r *http.Request, rm *reqMeta, key string, f *flight, req *
 	// Wait for a worker slot; the request context and drain can both
 	// abandon the wait.
 	s.gQueued.Add(1)
-	sp = rm.tl.Begin(stagePoolAcquire)
+	rm.clock.Push(stagePoolAcquire)
 	wctx, wcancel := context.WithCancel(r.Context())
 	stop := context.AfterFunc(s.baseCtx, wcancel)
 	acqErr := s.pool.Acquire(wctx)
 	stop()
 	wcancel()
-	rm.tl.End(sp)
+	rm.clock.Pop(acqErr == nil)
 	s.gQueued.Add(-1)
 	if acqErr != nil {
 		cancelledWaiting := r.Context().Err()
@@ -598,8 +595,7 @@ func (s *Server) lead(r *http.Request, rm *reqMeta, key string, f *flight, req *
 		rec = obs.NewRecorder()
 		opts.Tracer = rec
 	}
-	start := time.Now()
-	sp = rm.tl.Begin(stageCompile)
+	rm.clock.Push(stageCompile)
 	var (
 		sched *core.Schedule
 		err   error
@@ -612,11 +608,9 @@ func (s *Server) lead(r *http.Request, rm *reqMeta, key string, f *flight, req *
 	} else {
 		sched, err = core.CompileContext(ctx, k, m, opts)
 	}
-	compileDur := time.Since(start)
-	rm.tl.End(sp)
-	s.hLatency.Observe(compileDur.Seconds())
+	rm.clock.Pop(err == nil)
 	s.gInflight.Add(-1)
-	if rec != nil && ((err != nil && s.cfg.TraceErrors) || (s.cfg.TraceSlow > 0 && compileDur >= s.cfg.TraceSlow)) {
+	if rec != nil && ((err != nil && s.cfg.TraceErrors) || (s.cfg.TraceSlow > 0 && rm.clock.Stage(stageCompile).Wall >= s.cfg.TraceSlow)) {
 		s.recorder.capture(rm.id, rec)
 		rm.traced = true
 		s.mTraces.Inc()
@@ -629,9 +623,9 @@ func (s *Server) lead(r *http.Request, rm *reqMeta, key string, f *flight, req *
 	} else {
 		rm.memoHits = sched.Stats.MemoHits
 		s.mMemoHits.Add(int64(sched.Stats.MemoHits))
-		sp = rm.tl.Begin(stageSerialize)
+		rm.clock.Push(stageSerialize)
 		body, merr := json.Marshal(buildResponse(key, k, sched))
-		rm.tl.End(sp)
+		rm.clock.Pop(merr == nil)
 		if merr != nil {
 			out = s.errorOutcome(http.StatusInternalServerError, ErrorDetail{Kind: "internal", Reason: merr.Error()})
 		} else {

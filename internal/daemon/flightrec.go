@@ -62,7 +62,7 @@ func (fr *flightRecorder) record(rm *reqMeta, total time.Duration) {
 	if fr == nil {
 		return
 	}
-	spans := rm.tl.Spans()
+	stages := rm.clock.Stages()
 	rec := RequestRecord{
 		ID:         rm.id,
 		LeaderID:   rm.leaderID,
@@ -72,18 +72,18 @@ func (fr *flightRecorder) record(rm *reqMeta, total time.Duration) {
 		Status:     rm.status,
 		Cache:      rm.cache,
 		ErrorKind:  rm.errKind,
-		Start:      rm.tl.Origin().UTC().Format(time.RFC3339Nano),
+		Start:      rm.clock.Origin().UTC().Format(time.RFC3339Nano),
 		DurationMS: durationMS(total),
 		MemoHits:   rm.memoHits,
 		Trace:      rm.traced,
 	}
-	if len(spans) > 0 {
-		rec.Stages = make([]StageSpan, len(spans))
-		for i, sp := range spans {
+	if len(stages) > 0 {
+		rec.Stages = make([]StageSpan, len(stages))
+		for i, st := range stages {
 			rec.Stages[i] = StageSpan{
-				Name:       sp.Name,
-				StartMS:    durationMS(sp.Start),
-				DurationMS: durationMS(sp.Duration()),
+				Name:       st.Name,
+				StartMS:    durationMS(st.First),
+				DurationMS: durationMS(st.Wall),
 			}
 		}
 	}

@@ -70,7 +70,7 @@ func (s *Server) requestID(r *http.Request) string {
 }
 
 // reqMeta accumulates everything one compile request contributes to the
-// observability plane: identity, the stage timeline, and the outcome
+// observability plane: identity, the stage clock, and the outcome
 // fields the access log and the flight recorder share. It lives on the
 // handler's stack and is only ever touched by the request's own
 // goroutine.
@@ -85,7 +85,7 @@ type reqMeta struct {
 	errKind  string
 	memoHits int
 	traced   bool // full trace captured into the flight recorder
-	tl       *obs.Timeline
+	clock    *obs.Clock
 }
 
 // finishRequest closes out one compile request: per-stage and
@@ -93,12 +93,12 @@ type reqMeta struct {
 // exactly one structured access-log line. Called deferred from
 // handleCompile, after the response bytes are on the wire.
 func (s *Server) finishRequest(rm *reqMeta) {
-	total := rm.tl.Elapsed()
+	total := rm.clock.Elapsed()
 	s.hRequest.Observe(total.Seconds())
-	spans := rm.tl.Spans()
-	for _, sp := range spans {
-		if h, ok := s.hStages[sp.Name]; ok {
-			h.Observe(sp.Duration().Seconds())
+	stages := rm.clock.Stages()
+	for _, st := range stages {
+		if h, ok := s.hStages[st.Name]; ok {
+			h.Observe(st.Wall.Seconds())
 		}
 	}
 
@@ -136,12 +136,12 @@ func (s *Server) finishRequest(rm *reqMeta) {
 		attrs = append(attrs, slog.String("error_kind", rm.errKind))
 	}
 	attrs = append(attrs, slog.Float64("duration_ms", durationMS(total)))
-	if len(spans) > 0 {
-		stages := make([]any, 0, len(spans))
-		for _, sp := range spans {
-			stages = append(stages, slog.Float64(sp.Name, durationMS(sp.Duration())))
+	if len(stages) > 0 {
+		group := make([]any, 0, len(stages))
+		for _, st := range stages {
+			group = append(group, slog.Float64(st.Name, durationMS(st.Wall)))
 		}
-		attrs = append(attrs, slog.Group("stages", stages...))
+		attrs = append(attrs, slog.Group("stages", group...))
 	}
 	if rm.memoHits > 0 {
 		attrs = append(attrs, slog.Int("memo_hits", rm.memoHits))

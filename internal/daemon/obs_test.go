@@ -226,6 +226,30 @@ func TestAccessLogSingleflightCollapse(t *testing.T) {
 			t.Errorf("follower trace lookup %s: %d %.80s", j.ID, status, body)
 		}
 	}
+
+	// A repeat is a memory hit. Stages are self times on the request's
+	// clock, so on every disposition they sum to no more than the
+	// request's duration.
+	if status, _, body := postCompile(t, ts, req); status != http.StatusOK {
+		t.Fatalf("hit: %d\n%s", status, body)
+	}
+	// The log line is written after the response, so wait for it.
+	waitFor(t, 2*time.Second, func() bool { return bytes.Count(buf.Bytes(), []byte("\n")) == 5 })
+	lines = parseLog(t, buf.Bytes())
+	hit := lines[len(lines)-1]
+	if hit.Cache != "hit" {
+		t.Fatalf("repeat logged cache %q, want hit", hit.Cache)
+	}
+	for _, ll := range []logLine{hit, leader, joins[0]} {
+		sum := 0.0
+		for _, ms := range ll.Stages {
+			sum += ms
+		}
+		// 1 ns of slack absorbs float rounding of the millisecond values.
+		if sum > ll.DurationMS+1e-6 {
+			t.Errorf("%s line: stages sum to %v ms, more than its %v ms duration: %v", ll.Cache, sum, ll.DurationMS, ll.Stages)
+		}
+	}
 }
 
 // syncLogBuffer is a bytes.Buffer safe for concurrent handler writes.
@@ -306,7 +330,7 @@ func TestCacheHeaderOnErrorPaths(t *testing.T) {
 }
 
 // TestDebugRequestsRing exercises the flight-recorder ring: records are
-// newest-first, carry the request identity and stage timeline, and the
+// newest-first, carry the request identity and stage times, and the
 // disabled state 404s.
 func TestDebugRequestsRing(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

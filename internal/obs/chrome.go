@@ -233,6 +233,13 @@ func (cw *ChromeWriter) Emit(ev Event) {
 	cw.mu.Unlock()
 }
 
+// Len is the number of events emitted so far.
+func (cw *ChromeWriter) Len() int {
+	cw.mu.Lock()
+	defer cw.mu.Unlock()
+	return int(cw.seq)
+}
+
 // Close ends the traceEvents array and flushes. It does not close the
 // underlying writer.
 func (cw *ChromeWriter) Close() error {
