@@ -199,7 +199,7 @@ func printAblation() {
 func printRegalloc() {
 	fmt.Println("§7 register pressure on the distributed machine: worst per-file")
 	fmt.Println("overflow with default routing vs register-aware routing (the §7")
-	fmt.Println("'improved form'), plus the spill post-pass verdict:")
+	fmt.Println("'improved form'):")
 	fmt.Printf("  %-20s %10s %16s %10s %16s\n",
 		"kernel", "II", "overflow (dflt)", "II (aware)", "overflow (aware)")
 	for _, spec := range commsched.Kernels() {

@@ -196,8 +196,8 @@ func (e *engine) routeComm(c *comm) bool {
 			if len(hotRFs) > 0 {
 				// §7 staging: the direct file is hot, so write into a
 				// cool reachable file and copy just before the read —
-				// splitting the residence exactly as the spill post-
-				// pass would.
+				// splitting the residence the way §7's spill post-pass
+				// would.
 				for _, ws := range e.stagingRFs(c, target) {
 					m2 := e.mark()
 					if e.solveWrites(writeCycle, c.id, ws) {
@@ -225,8 +225,8 @@ func (e *engine) routeComm(c *comm) bool {
 	}
 	e.rollback(mark)
 
-	// Last resort: accept the overflow and route directly; the spill
-	// post-pass can still repair it.
+	// Last resort: accept the overflow and route directly; the regalloc
+	// pass reports it.
 	if len(ds.hot) > 0 {
 		if tryDirect(ds.hot) {
 			e.stats.PressureOverflows++
@@ -251,7 +251,7 @@ func (e *engine) stagingRFs(c *comm, target machine.RFID) []machine.RFID {
 		if rf == target || e.mach.CopyDistance(rf, target) < 1 {
 			continue
 		}
-		head := e.mach.RegFiles[rf].NumRegs - e.rfPressure[rf]
+		head := e.mach.RegFiles[rf].NumRegs - e.regDemand[rf]
 		if head < 1 {
 			continue
 		}

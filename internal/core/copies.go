@@ -47,7 +47,10 @@ func (e *engine) insertCopyChain(c *comm, preferLate bool) bool {
 	rfW := c.wstub.RF
 	rfR := e.operandStub[useKey].stub.RF
 	if rfW == rfR {
+		// Closed without finishRoute: no deposit is recorded here, but
+		// the residence still holds registers.
 		e.setCommState(c, commClosed)
+		e.trackPressure(c)
 		return true
 	}
 

@@ -48,15 +48,15 @@ func (e *engine) fingerprint() string {
 	for k, v := range e.readsAt {
 		lines = append(lines, fmt.Sprintf("r@%v=%d", k, len(v)))
 	}
-	for rf, p := range e.rfPressure {
+	for rf, p := range e.regDemand {
 		if p != 0 {
 			lines = append(lines, fmt.Sprintf("press%d=%d", rf, p))
 		}
 	}
 	sort.Strings(lines)
 	b.WriteString(strings.Join(lines, "\n"))
-	fmt.Fprintf(&b, "\nfuAt=%d physSlot=%d deposits=%d intervals=%d\n",
-		len(e.fuAt), len(e.physSlot), depositCount(e), len(e.intervals))
+	fmt.Fprintf(&b, "\nfuAt=%d physSlot=%d deposits=%d residences=%d\n",
+		len(e.fuAt), len(e.physSlot), depositCount(e), len(e.residences))
 	return b.String()
 }
 

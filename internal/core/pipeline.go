@@ -355,11 +355,9 @@ func (placePass) Run(c *Compilation) error {
 }
 
 // regallocPass freezes the winning engine into the final Schedule and
-// computes the §7 implicit per-register-file demand ("When
-// communication scheduling assigns a communication to a route through a
-// specific register file, it implicitly allocates a register in that
-// register file"), flagging files whose capacity the schedule exceeds —
-// the overflows internal/regalloc's spill post-pass repairs.
+// computes the §7 implicit per-register-file demand with the register
+// model in pressure.go, flagging files whose capacity the schedule
+// exceeds. It reports overflows; it inserts no spill copies.
 type regallocPass struct{}
 
 func (regallocPass) Name() string { return PassRegalloc }
@@ -375,59 +373,6 @@ func (regallocPass) Run(c *Compilation) error {
 	}
 	c.clock.Step(PassRegalloc, len(c.sched.RegDemand))
 	return nil
-}
-
-// implicitDemand computes the per-file implicit register demand of a
-// finished schedule with the same modulo-variable-expansion accounting
-// the §7 register-aware engine uses (pressure.go): a loop value live L
-// cycles occupies ceil(L/II) registers, a loop invariant one register
-// for the whole loop. (internal/regalloc refines this into a full spill
-// plan; it imports core, so this summary lives core-side.)
-func implicitDemand(s *Schedule) map[machine.RFID]int {
-	type resKey struct {
-		value ir.ValueID
-		rf    machine.RFID
-	}
-	type span struct {
-		wflat, lastRead int
-		block           ir.BlockKind
-		invariant       bool
-	}
-	res := make(map[resKey]*span)
-	for _, r := range s.Routes {
-		defOp, useOp := s.Ops[r.Def], s.Ops[r.Use]
-		k := resKey{r.Value, r.W.RF}
-		sp := res[k]
-		if sp == nil {
-			wflat := s.Assignments[r.Def].Cycle + s.Machine.Latency(defOp.Opcode) - 1
-			sp = &span{wflat: wflat, lastRead: wflat, block: defOp.Block}
-			res[k] = sp
-		}
-		if defOp.Block == ir.PreambleBlock && useOp.Block == ir.LoopBlock {
-			sp.invariant = true
-			continue
-		}
-		ii := 0
-		if useOp.Block == ir.LoopBlock {
-			ii = s.II
-		}
-		if read := s.Assignments[r.Use].Cycle + r.Distance*ii; read > sp.lastRead {
-			sp.lastRead = read
-		}
-	}
-	demand := make(map[machine.RFID]int)
-	for k, sp := range res {
-		regs := 1
-		if !sp.invariant && sp.block == ir.LoopBlock && s.II > 0 {
-			life := sp.lastRead - sp.wflat
-			if life < 1 {
-				life = 1
-			}
-			regs = (life + s.II - 1) / s.II
-		}
-		demand[k.rf] += regs
-	}
-	return demand
 }
 
 // verifyPass re-derives the §4.2 rules and the structural invariants

@@ -202,10 +202,11 @@ type engine struct {
 	// the default — keeps every probe site a single pointer compare.
 	faults *faultinject.Plane
 
-	// intervals and rfPressure implement §7's register-aware routing
-	// (Options.RegisterAware): implicit register demand per file.
-	intervals  map[livKey]liveInterval
-	rfPressure map[machine.RFID]int
+	// residences and regDemand are the running §7 register account of
+	// register-aware routing (Options.RegisterAware, pressure.go): each
+	// value's residence per file, and the registers each file holds.
+	residences map[resKey]residence
+	regDemand  map[machine.RFID]int
 
 	depth int // copy-insertion recursion depth
 }
@@ -299,8 +300,8 @@ func newEngine(k *ir.Kernel, m *machine.Machine, g *depgraph.Graph, opts Options
 		roots:       make(map[ir.ValueID]ir.ValueID),
 		deposits:    make(map[ir.ValueID][]deposit),
 		depositLoad: make(map[machine.RFID]int),
-		intervals:   make(map[livKey]liveInterval),
-		rfPressure:  make(map[machine.RFID]int),
+		residences:  make(map[resKey]residence),
+		regDemand:   make(map[machine.RFID]int),
 		clock:       obs.NewClock(),
 		tracer:      opts.Tracer,
 		faults:      opts.Faults,

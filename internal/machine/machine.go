@@ -144,8 +144,8 @@ type RegFile struct {
 	ID      RFID
 	Name    string
 	Cluster int
-	// NumRegs is the storage capacity, consumed by the register spill
-	// post-pass and the VLSI cost model.
+	// NumRegs is the storage capacity, consumed by the §7 register
+	// model (demand and overflow) and the VLSI cost model.
 	NumRegs int
 }
 

@@ -2,10 +2,7 @@ package commsched
 
 import (
 	"fmt"
-
 	"math"
-	"repro/internal/regalloc"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -251,8 +248,6 @@ func (r *SuiteResult) FormatFigure29() string {
 func (r *SuiteResult) FormatDetail() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-20s %-14s %6s %7s %9s %11s\n", "kernel", "arch", "II", "copies", "preamble", "backtracks")
-	kernels := append([]string(nil), r.Kernels...)
-	sort.Strings(kernels)
 	for _, k := range r.Kernels {
 		for _, a := range r.Archs {
 			kr := r.Result(k, a)
@@ -260,17 +255,16 @@ func (r *SuiteResult) FormatDetail() string {
 				k, a, kr.II, kr.Copies, kr.PreambleLen, kr.Backtracks)
 		}
 	}
-	_ = kernels
 	return b.String()
 }
 
 // WorstOverflow returns the schedule's largest per-register-file
-// capacity overflow in registers (0 = the schedule fits), via the §7
-// post-pass analysis.
+// capacity overflow in registers (0 = the schedule fits), from the §7
+// implicit demand the regalloc pass computed.
 func WorstOverflow(s *Schedule) int {
 	worst := 0
-	for _, r := range regalloc.Analyze(s) {
-		if over := r.Demand - r.Capacity; over > worst {
+	for _, rf := range s.Machine.RegFiles {
+		if over := s.RegDemand[rf.ID] - rf.NumRegs; over > worst {
 			worst = over
 		}
 	}
