@@ -339,58 +339,10 @@ func BenchmarkSimulator(b *testing.B) {
 	b.ReportMetric(float64(cycles), "sim-cycles")
 }
 
-// BenchmarkScheduler times raw scheduling throughput per architecture
-// on the mid-size DCT kernel.
-func BenchmarkScheduler(b *testing.B) {
-	spec := KernelByName("DCT")
-	k, err := spec.Kernel()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, arch := range []func() *Machine{Central, Clustered4, Distributed} {
-		m := arch()
-		b.Run(m.Name, func(b *testing.B) {
-			var s *Schedule
-			for i := 0; i < b.N; i++ {
-				s, err = Compile(k, m, Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(s.II), "II")
-		})
-	}
-}
-
-// BenchmarkSchedulerThroughput reports end-to-end scheduling
-// throughput — whole compilations per second — for the mid-size DCT
-// kernel on the distributed architecture, the configuration the paper's
-// evaluation centers on. BENCH_sched.json tracks this number (and the
-// allocs/op reported by -benchmem) across the perf trajectory.
-func BenchmarkSchedulerThroughput(b *testing.B) {
-	spec := KernelByName("DCT")
-	k, err := spec.Kernel()
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := Distributed()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Compile(k, m, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(b.N)/sec, "compiles/s")
-	}
-}
-
 // BenchmarkCompileTracing quantifies the observability layer's cost on
-// the same DCT/distributed workload BenchmarkScheduler times, so the
-// "disabled" sub-benchmark is directly comparable against the pre-
-// tracing scheduler baseline: with a nil tracer the emit helpers must
-// be free (their no-op path is also pinned allocation-free by
+// one compile of the DCT kernel on the distributed architecture: with a
+// nil tracer ("disabled") the emit helpers must be free (their no-op
+// path is also pinned allocation-free by
 // core.TestDisabledTracerAllocatesNothing), and "recording" bounds the
 // full cost of capturing every decision point.
 func BenchmarkCompileTracing(b *testing.B) {

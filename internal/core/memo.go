@@ -128,14 +128,6 @@ func (m *permMemo) record(k memoKey) {
 	m.mu.Unlock()
 }
 
-// entries reports the number of recorded dead ends.
-func (m *permMemo) entries() int {
-	m.mu.Lock()
-	n := len(m.seen)
-	m.mu.Unlock()
-	return n
-}
-
 // Candidate-list hashing. A flex item's signature must cover the full
 // ordered contents of its candidate list, but mixing every stub on
 // every solve would make the signature cost scale with list length —

@@ -132,17 +132,6 @@ func (e *engine) buildSchedule() *Schedule {
 	return s
 }
 
-// CopiesInBlock counts inserted copy operations per block.
-func (s *Schedule) CopiesInBlock(b ir.BlockKind) int {
-	n := 0
-	for i := len(s.Kernel.Ops); i < len(s.Ops); i++ {
-		if s.Ops[i].Opcode == ir.Copy && s.Ops[i].Block == b {
-			n++
-		}
-	}
-	return n
-}
-
 // OpsInBlock returns all scheduled op ids of a block, copies included,
 // ordered by cycle then unit.
 func (s *Schedule) OpsInBlock(b ir.BlockKind) []ir.OpID {
