@@ -2,7 +2,12 @@ package core_test
 
 import (
 	"context"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -11,6 +16,28 @@ import (
 	"repro/internal/vliwsim"
 )
 
+var updateGoldens = flag.Bool("update-goldens", false, "rewrite the portfolio goldens under testdata/portfolio from the current compiler")
+
+// portfolioGolden renders the deterministic output of one portfolio
+// run: the race's counters (winner, per-variant tries, bests and
+// copies), the per-pass runs/steps/fails that cschedd serves in its
+// response bodies, and the winning schedule's fingerprint. Wall times
+// are left out.
+func portfolioGolden(s *core.Schedule, st *core.PortfolioStats) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "workers=%d minII=%d winner=%s II=%d tried=%d\n",
+		st.Workers, st.MinII, st.WinnerName(), st.WinnerII, st.IIsTried)
+	for _, v := range st.Variants {
+		fmt.Fprintf(&b, "variant %s %s tried=%d bestII=%d copies=%d\n",
+			v.Name, v.Pipeline, v.IIsTried, v.BestII, v.Copies)
+	}
+	for _, p := range s.Passes {
+		fmt.Fprintf(&b, "pass %s runs=%d steps=%d fails=%d\n", p.Name, p.Runs, p.Steps, p.Fails)
+	}
+	b.WriteString(s.Fingerprint())
+	return b.String()
+}
+
 // TestPortfolioDifferential is the differential harness: for every
 // Table 1 kernel on every paper architecture, the portfolio schedule
 // must pass the independent structural verifier, simulate cleanly on
@@ -18,7 +45,9 @@ import (
 // outputs, and leave memory bit-identical to the sequential Compile
 // schedule's simulation. The portfolio may pick a different (better)
 // interval or variant than the sequential scheduler; the program
-// semantics may not change.
+// semantics may not change. Its deterministic output must also match
+// the golden under testdata/portfolio (regenerate deliberately with
+// -update-goldens).
 func TestPortfolioDifferential(t *testing.T) {
 	specs := kernels.All()
 	if testing.Short() {
@@ -54,6 +83,21 @@ func TestPortfolioDifferential(t *testing.T) {
 				if err := core.VerifySchedule(pf); err != nil {
 					t.Fatalf("portfolio schedule fails verification: %v", err)
 				}
+				got := portfolioGolden(pf, stats)
+				path := filepath.Join("testdata", "portfolio",
+					strings.ReplaceAll(strings.ToLower(spec.Name), " ", "_")+"__"+m.Name+".golden")
+				if *updateGoldens {
+					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				} else if want, err := os.ReadFile(path); err != nil {
+					t.Errorf("missing golden (run go test ./internal/core -run TestPortfolioDifferential -update-goldens): %v", err)
+				} else if got != string(want) {
+					t.Errorf("portfolio output diverged from golden %s:\n%s", path, firstDiff(string(want), got))
+				}
 				if pf.II > seq.II {
 					t.Errorf("portfolio II=%d (winner %s) worse than sequential II=%d",
 						pf.II, stats.WinnerName(), seq.II)
@@ -81,4 +125,22 @@ func TestPortfolioDifferential(t *testing.T) {
 			})
 		}
 	}
+}
+
+// firstDiff reports the first differing line of two goldens.
+func firstDiff(want, got string) string {
+	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(wl) || i < len(gl); i++ {
+		var w, g string
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if w != g {
+			return fmt.Sprintf("  line %d\n  want: %s\n  got:  %s", i+1, w, g)
+		}
+	}
+	return "  (no line differs)"
 }

@@ -122,3 +122,34 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Error("over-budget entry was cached")
 	}
 }
+
+// TestCanonicalConfigText pins the literal cache-key config text, so a
+// change to how the ablation switches or the ladder's rungs are spelled
+// in Go cannot move a key in the memory tier or the disk tier.
+func TestCanonicalConfigText(t *testing.T) {
+	all := core.Options{CycleOrder: true, TwoPhase: true, NoCostHeuristic: true, RegisterAware: true}
+	want := "order=cycle preassign=true cost=false regaware=true\n" +
+		"maxii=0 perm=4096 cand=1024 scan=0 attempt=128\n" +
+		"portfolio=false\n"
+	if got := canonicalConfig(all, false); got != want {
+		t.Errorf("all ablation switches:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+
+	l := core.DefaultDegradeLadder()
+	l.Rungs = append(l.Rungs, ladder([]RungSpec{{Name: "cheap", Greedy: true}}).Rungs...)
+	want = "order=priority preassign=false cost=true regaware=false\n" +
+		"maxii=0 perm=4096 cand=1024 scan=0 attempt=128\n" +
+		"portfolio=true\n" +
+		"rung name=fast-search maxii=0 boost=0 perm=512 attempt=32 scan=0\n" +
+		"rung name=relaxed-ii maxii=0 boost=64 perm=1024 attempt=0 scan=0\n" +
+		"rung name=greedy maxii=0 boost=0 perm=256 attempt=16 scan=0 order=cycle preassign=false cost=false regaware=false\n" +
+		"rung name=cheap maxii=0 boost=0 perm=0 attempt=0 scan=0 order=cycle preassign=false cost=false regaware=false\n"
+	if got := canonicalConfig(core.Options{Degrade: l}, true); got != want {
+		t.Errorf("stock ladder plus a greedy request rung:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+
+	const key = "242b126dc4ec2656dfc9e7ca36784e1bee9b4db637ac6888f32eecb2bb5d2164"
+	if got := Key(kernels.Motivating(), machine.MotivatingExample(), core.Options{Degrade: core.DefaultDegradeLadder()}, false); got != key {
+		t.Errorf("fig4/fig5 key with the stock ladder = %s, want %s", got, key)
+	}
+}
