@@ -53,15 +53,12 @@ type (
 	// PortfolioOptions configures CompilePortfolio's worker pool and
 	// racing lineup.
 	PortfolioOptions = core.PortfolioOptions
-	// PortfolioStats instruments a portfolio run: per-variant wall
-	// times, attempt and cancellation counts, and the winner.
+	// PortfolioStats instruments a portfolio run: the winner, and per
+	// variant its pipeline shape, intervals tried, best interval,
+	// copies and wall time.
 	PortfolioStats = core.PortfolioStats
 	// Variant is one racing configuration of a portfolio.
 	Variant = core.Variant
-	// PipelineConfig names a pass-pipeline shape (ordering, preassign
-	// phase, place-stage heuristics); Options.Pipeline and
-	// PipelineConfig.Apply convert between it and Options.
-	PipelineConfig = core.PipelineConfig
 	// PassStat and PassStats instrument the compiler's passes: runs,
 	// work items, failures, and self wall time per named pass.
 	PassStat  = core.PassStat
@@ -177,12 +174,6 @@ const (
 	FaultActionPanic   = faultinject.Panic
 	FaultActionExhaust = faultinject.Exhaust
 	FaultActionDelay   = faultinject.Delay
-)
-
-// Prioritize-pass orderings for PipelineConfig.Order.
-const (
-	OrderPriority = core.OrderPriority
-	OrderCycle    = core.OrderCycle
 )
 
 // Functional-unit kinds.
@@ -303,12 +294,13 @@ func ParseFaultSpec(spec string) (*FaultPlane, error) { return faultinject.Parse
 
 // CompilePortfolio schedules a kernel by racing a portfolio of
 // scheduler configurations (the §4.6 ablation variants) across a
-// bounded pool of workers, splitting the initiation-interval search
-// among them and cancelling attempts that can no longer win. The
-// result is deterministic — best II, then fewest copies, then lowest
-// variant index — so parallel runs are repeatable regardless of worker
-// count; only the returned PortfolioStats timings vary. workers ≤ 0
-// means GOMAXPROCS.
+// bounded pool of workers: at each initiation interval in turn, from
+// the lower bound up, every variant's attempt runs to completion, and
+// the first interval where any variant schedules wins. The result is
+// deterministic — best II, then fewest copies, then lowest variant
+// index — so parallel runs are repeatable regardless of worker count;
+// only the returned PortfolioStats timings vary. opts.Degrade degrades
+// a failed race as it degrades Compile. workers ≤ 0 means GOMAXPROCS.
 func CompilePortfolio(ctx context.Context, k *Kernel, m *Machine, opts Options, workers int) (*Schedule, *PortfolioStats, error) {
 	return core.CompilePortfolio(ctx, k, m, opts, core.PortfolioOptions{Workers: workers})
 }

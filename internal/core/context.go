@@ -14,7 +14,8 @@ import (
 // cancellation, amortized to one latched-flag check per solver step —
 // see engine.solverStep) and, when Options.Degrade is set, retries a
 // schedule-search failure with progressively cheaper configurations
-// instead of failing outright.
+// instead of failing outright. CompilePortfolio runs the same ladder
+// with the variant race as its interval search.
 
 // CompileContext is Compile observing a context: cancellation and
 // deadlines propagate into the interval search, the place pass's
@@ -32,24 +33,34 @@ import (
 // carries a deadline, each attempt gets an even slice of the time
 // remaining, so the primary configuration cannot starve the ladder.
 func CompileContext(ctx context.Context, k *ir.Kernel, m *machine.Machine, opts Options) (*Schedule, error) {
+	return degrade(ctx, opts, func(ctx context.Context, rung *DegradeRung) (*Schedule, error) {
+		return compileOnce(ctx, k, m, rung.apply(opts), runLadder)
+	})
+}
+
+// degrade is the degradation loop shared by both interval searches.
+// compile runs one configuration: the primary one (rung nil) or one
+// rung of opts.Degrade.
+func degrade(ctx context.Context, opts Options, compile func(ctx context.Context, rung *DegradeRung) (*Schedule, error)) (*Schedule, error) {
 	ladder := opts.Degrade
 	if ladder == nil || len(ladder.Rungs) == 0 {
-		return compileOnce(ctx, k, m, opts)
+		return compile(ctx, nil)
 	}
 
 	attemptsLeft := 1 + len(ladder.Rungs)
-	sched, err := compileSlice(ctx, k, m, opts, attemptsLeft)
+	sched, err := compileSlice(ctx, attemptsLeft, nil, compile)
 	if err == nil {
 		return sched, nil
 	}
 	primary := err
-	for _, rung := range ladder.Rungs {
+	for i := range ladder.Rungs {
+		rung := &ladder.Rungs[i]
 		attemptsLeft--
 		if !degradable(ctx, err) {
 			return nil, err
 		}
 		traceDegrade(opts.Tracer, rung.Name)
-		sched, err = compileSlice(ctx, k, m, rung.apply(opts), attemptsLeft)
+		sched, err = compileSlice(ctx, attemptsLeft, rung, compile)
 		if err == nil {
 			sched.Degraded = rung.Name
 			return sched, nil
@@ -68,7 +79,7 @@ func CompileContext(ctx context.Context, k *ir.Kernel, m *machine.Machine, opts 
 // compileSlice runs one configuration under an even slice of the
 // context's remaining deadline (the whole context when it carries no
 // deadline, or when this is the last attempt).
-func compileSlice(ctx context.Context, k *ir.Kernel, m *machine.Machine, opts Options, attemptsLeft int) (*Schedule, error) {
+func compileSlice(ctx context.Context, attemptsLeft int, rung *DegradeRung, compile func(context.Context, *DegradeRung) (*Schedule, error)) (*Schedule, error) {
 	if dl, ok := ctx.Deadline(); ok && attemptsLeft > 1 {
 		if remaining := time.Until(dl); remaining > 0 {
 			sliced, cancel := context.WithTimeout(ctx, remaining/time.Duration(attemptsLeft))
@@ -76,7 +87,7 @@ func compileSlice(ctx context.Context, k *ir.Kernel, m *machine.Machine, opts Op
 			ctx = sliced
 		}
 	}
-	return compileOnce(ctx, k, m, opts)
+	return compile(ctx, rung)
 }
 
 // degradable reports whether err is a failure the ladder may retry: a
@@ -111,10 +122,10 @@ type DegradeRung struct {
 	// Name identifies the rung in Schedule.Degraded, stats output, and
 	// trace events.
 	Name string
-	// Pipeline, when non-nil, replaces the ablation switches with this
-	// pipeline shape (e.g. greedy cycle order without the cost
-	// heuristic).
-	Pipeline *PipelineConfig
+	// Greedy replaces the ablation switches with the cheapest pipeline:
+	// cycle order, no preassign, no cost heuristic, no register-aware
+	// routing.
+	Greedy bool
 	// MaxII, when positive, replaces the interval cap outright.
 	MaxII int
 	// MaxIIBoost, when positive, raises a caller-set interval cap by
@@ -131,11 +142,15 @@ type DegradeRung struct {
 	ScanWindow int
 }
 
-// apply returns base reconfigured by the rung.
-func (r DegradeRung) apply(base Options) Options {
+// apply returns base reconfigured by the rung; a nil rung (the
+// primary configuration) returns base unchanged.
+func (r *DegradeRung) apply(base Options) Options {
+	if r == nil {
+		return base
+	}
 	o := base
-	if r.Pipeline != nil {
-		o = r.Pipeline.Apply(o)
+	if r.Greedy {
+		o.CycleOrder, o.TwoPhase, o.NoCostHeuristic, o.RegisterAware = true, false, true, false
 	}
 	if r.MaxII > 0 {
 		o.MaxII = r.MaxII
@@ -169,6 +184,6 @@ func DefaultDegradeLadder() *DegradeLadder {
 	return &DegradeLadder{Rungs: []DegradeRung{
 		{Name: "fast-search", PermBudget: 512, AttemptBudget: 32},
 		{Name: "relaxed-ii", MaxIIBoost: 64, PermBudget: 1024},
-		{Name: "greedy", Pipeline: &PipelineConfig{Order: OrderCycle, Preassign: false, CostHeuristic: false}, PermBudget: 256, AttemptBudget: 16},
+		{Name: "greedy", Greedy: true, PermBudget: 256, AttemptBudget: 16},
 	}}
 }

@@ -90,6 +90,9 @@ type Compilation struct {
 	eng   *engine
 	sched *Schedule
 	clock *obs.Clock
+	// cells holds the pass stats the portfolio race's cells clocked on
+	// private clocks; passStats folds them into the compilation's own.
+	cells PassStats
 }
 
 // runPass drives one pass as a clocked, traced stage, counting a
@@ -239,6 +242,17 @@ func passStats(clk *obs.Clock) PassStats {
 	return ps
 }
 
+// passStats is the compilation's per-pass account: its own clock plus
+// any cells the race folded in.
+func (c *Compilation) passStats() PassStats {
+	ps := passStats(c.clock)
+	if len(c.cells) > 0 {
+		ps.Merge(c.cells)
+		ps.sortCanonical()
+	}
+	return ps
+}
+
 // lowerPass readies the kernel for scheduling: IR verification, the
 // unit-coverage check, dependence-graph construction, and the interval
 // bounds (ResMII below, the derived or user-set cap above).
@@ -282,7 +296,7 @@ var errInfeasible = fmt.Errorf("core: interval infeasible")
 
 // attemptPasses is the per-interval pipeline realized from the options:
 // the preassign pass participates only in the §6 two-phase baseline
-// configuration (PipelineConfig.Preassign / Options.TwoPhase).
+// configuration (Options.TwoPhase).
 func attemptPasses(opts Options) []Pass {
 	if opts.TwoPhase {
 		return []Pass{prioritizePass{}, preassignPass{}, placePass{}}
@@ -391,79 +405,26 @@ func (verifyPass) Run(c *Compilation) error {
 	return nil
 }
 
-// PipelineConfig names a pipeline shape: which ordering the prioritize
-// pass uses, whether the preassign pass runs, and which place-stage
-// heuristics are active. The §4.6/§6/§7 ablation switches scattered
-// through Options are exactly pipeline reconfigurations, and the
-// portfolio's racing variants are defined in these terms
-// (DefaultVariants).
-type PipelineConfig struct {
-	// Order selects the prioritize pass's ordering: OrderPriority (the
-	// paper's critical-path operation order) or OrderCycle (the greedy
-	// ASAP ablation).
-	Order string
-	// Preassign inserts the preassign pass: the §6 two-phase baseline
-	// that binds operations to units before cycle scheduling.
-	Preassign bool
-	// CostHeuristic enables the equation-1 communication-cost ordering
-	// of candidate units in the place pass.
-	CostHeuristic bool
-	// RegisterAware enables §7 register-aware routing in the
-	// close-comms stage.
-	RegisterAware bool
-}
-
-// Prioritize-pass orderings.
-const (
-	OrderPriority = "priority"
-	OrderCycle    = "cycle"
-)
-
-// Pipeline expresses the options' ablation switches as the pipeline
-// configuration they select.
-func (o Options) Pipeline() PipelineConfig {
-	order := OrderPriority
-	if o.CycleOrder {
-		order = OrderCycle
-	}
-	return PipelineConfig{
-		Order:         order,
-		Preassign:     o.TwoPhase,
-		CostHeuristic: !o.NoCostHeuristic,
-		RegisterAware: o.RegisterAware,
-	}
-}
-
-// Apply returns base with its ablation switches replaced by the
-// configuration's; the budget and bound fields of base are kept.
-// Options.Pipeline and Apply are inverses over the ablation switches.
-func (pc PipelineConfig) Apply(base Options) Options {
-	o := base
-	o.CycleOrder = pc.Order == OrderCycle
-	o.TwoPhase = pc.Preassign
-	o.NoCostHeuristic = !pc.CostHeuristic
-	o.RegisterAware = pc.RegisterAware
-	return o
-}
-
-// String renders the pipeline shape, e.g.
+// Pipeline renders the pipeline shape the ablation switches select:
+// which ordering the prioritize pass uses, whether the preassign pass
+// runs, and which place-stage heuristics are active, e.g.
 // "prioritize(cycle)→preassign→place[cost,regaware]".
-func (pc PipelineConfig) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "prioritize(%s)", pc.Order)
-	if pc.Preassign {
-		b.WriteString("→preassign")
+func (o Options) Pipeline() string {
+	s := "prioritize(priority)"
+	if o.CycleOrder {
+		s = "prioritize(cycle)"
 	}
-	b.WriteString("→place")
-	var mods []string
-	if pc.CostHeuristic {
-		mods = append(mods, "cost")
+	if o.TwoPhase {
+		s += "→preassign"
 	}
-	if pc.RegisterAware {
-		mods = append(mods, "regaware")
+	s += "→place"
+	switch {
+	case !o.NoCostHeuristic && o.RegisterAware:
+		s += "[cost,regaware]"
+	case !o.NoCostHeuristic:
+		s += "[cost]"
+	case o.RegisterAware:
+		s += "[regaware]"
 	}
-	if len(mods) > 0 {
-		fmt.Fprintf(&b, "[%s]", strings.Join(mods, ","))
-	}
-	return b.String()
+	return s
 }

@@ -293,25 +293,39 @@ func TestPassStatsMerge(t *testing.T) {
 	}
 }
 
+// TestPipelineConfigRoundTrip pins the one spelling of the ablation
+// switches: Options.Pipeline renders every combination of the four
+// switches as its literal pipeline shape, with the budgets and bounds
+// playing no part.
 func TestPipelineConfigRoundTrip(t *testing.T) {
+	want := []string{
+		"prioritize(priority)→place[cost]",
+		"prioritize(cycle)→place[cost]",
+		"prioritize(priority)→preassign→place[cost]",
+		"prioritize(cycle)→preassign→place[cost]",
+		"prioritize(priority)→place",
+		"prioritize(cycle)→place",
+		"prioritize(priority)→preassign→place",
+		"prioritize(cycle)→preassign→place",
+		"prioritize(priority)→place[cost,regaware]",
+		"prioritize(cycle)→place[cost,regaware]",
+		"prioritize(priority)→preassign→place[cost,regaware]",
+		"prioritize(cycle)→preassign→place[cost,regaware]",
+		"prioritize(priority)→place[regaware]",
+		"prioritize(cycle)→place[regaware]",
+		"prioritize(priority)→preassign→place[regaware]",
+		"prioritize(cycle)→preassign→place[regaware]",
+	}
 	base := Options{MaxII: 12, PermBudget: 99, ScanWindow: 7}
-	for i := 0; i < 16; i++ {
+	for i, w := range want {
 		o := base
 		o.CycleOrder = i&1 != 0
 		o.TwoPhase = i&2 != 0
 		o.NoCostHeuristic = i&4 != 0
 		o.RegisterAware = i&8 != 0
-		if got := o.Pipeline().Apply(o); got != o {
-			t.Errorf("round trip lost fields: %+v -> %+v", o, got)
+		if got := o.Pipeline(); got != w {
+			t.Errorf("switches %04b: Pipeline() = %q, want %q", i, got, w)
 		}
-	}
-	pc := Options{CycleOrder: true, TwoPhase: true}.Pipeline()
-	if pc.Order != OrderCycle || !pc.Preassign || !pc.CostHeuristic || pc.RegisterAware {
-		t.Errorf("Pipeline mapping: %+v", pc)
-	}
-	want := "prioritize(cycle)→preassign→place[cost]"
-	if got := pc.String(); got != want {
-		t.Errorf("String() = %q, want %q", got, want)
 	}
 }
 
@@ -333,7 +347,7 @@ func TestPortfolioPassStats(t *testing.T) {
 		t.Error("winner schedule missing pass stats or reg demand")
 	}
 	for i, v := range stats.Variants {
-		if (v.Pipeline == PipelineConfig{}) {
+		if v.Pipeline == "" {
 			t.Errorf("variant %d missing pipeline config", i)
 		}
 	}

@@ -18,42 +18,38 @@ import (
 // that no single heuristic setting wins on every kernel/machine pair,
 // so instead of committing to one configuration, CompilePortfolio races
 // a portfolio of them at each initiation interval in turn, spreading
-// one interval's variants across a bounded pool of workers. Selection
-// is deterministic — independent of worker count and scheduling order
-// — so parallel runs are repeatable.
+// one interval's variants across a bounded pool of workers. The race is
+// an interval-search strategy of the one compile driver (compileOnce):
+// validation, lowering, regalloc, verify and the degradation ladder are
+// shared with CompileContext. Selection is deterministic — independent
+// of worker count and scheduling order — so parallel runs are
+// repeatable.
 
-// Variant is one racing configuration of the portfolio: a named
-// pipeline configuration realized as full scheduler options.
+// Variant is one racing configuration of the portfolio: a named set of
+// full scheduler options.
 type Variant struct {
 	Name string
 	Opts Options
 }
 
 // DefaultVariants is the standard racing lineup derived from a base
-// configuration: the base itself plus four pipeline reconfigurations —
-// each §4.6/§6/§7 ablation switch of the base's PipelineConfig flipped,
-// re-applied over the base's budgets and bounds. The base rides at
-// index 0 so that on ties (same interval, same copies) the portfolio
-// reproduces the sequential scheduler's choice.
+// configuration: the base itself plus four reconfigurations, each with
+// one §4.6/§6/§7 ablation switch of the base flipped and the base's
+// budgets and bounds kept. The base rides at index 0 so that on ties
+// (same interval, same copies) the portfolio reproduces the sequential
+// scheduler's choice.
 func DefaultVariants(base Options) []Variant {
-	pc := base.Pipeline()
-	vary := func(name string, f func(*PipelineConfig)) Variant {
-		v := pc
-		f(&v)
-		return Variant{Name: name, Opts: v.Apply(base)}
+	flip := func(name string, f func(*Options)) Variant {
+		o := base
+		f(&o)
+		return Variant{Name: name, Opts: o}
 	}
 	return []Variant{
 		{Name: "base", Opts: base},
-		vary("cost-heuristic", func(c *PipelineConfig) { c.CostHeuristic = !c.CostHeuristic }),
-		vary("cycle-order", func(c *PipelineConfig) {
-			if c.Order == OrderCycle {
-				c.Order = OrderPriority
-			} else {
-				c.Order = OrderCycle
-			}
-		}),
-		vary("two-phase", func(c *PipelineConfig) { c.Preassign = !c.Preassign }),
-		vary("register-aware", func(c *PipelineConfig) { c.RegisterAware = !c.RegisterAware }),
+		flip("cost-heuristic", func(o *Options) { o.NoCostHeuristic = !o.NoCostHeuristic }),
+		flip("cycle-order", func(o *Options) { o.CycleOrder = !o.CycleOrder }),
+		flip("two-phase", func(o *Options) { o.TwoPhase = !o.TwoPhase }),
+		flip("register-aware", func(o *Options) { o.RegisterAware = !o.RegisterAware }),
 	}
 }
 
@@ -81,8 +77,8 @@ type PortfolioOptions struct {
 // every other field is deterministic.
 type VariantStats struct {
 	Name string
-	// Pipeline is the variant's pipeline shape.
-	Pipeline PipelineConfig
+	// Pipeline is the variant's pipeline shape (Options.Pipeline).
+	Pipeline string
 	// IIsTried counts single-interval attempts run to completion.
 	IIsTried int
 	// BestII is the winning interval when this variant scheduled
@@ -95,7 +91,8 @@ type VariantStats struct {
 	Wall time.Duration
 }
 
-// PortfolioStats records how a portfolio run unfolded.
+// PortfolioStats records how a portfolio run unfolded. Under
+// degradation it describes the last configuration raced.
 type PortfolioStats struct {
 	Workers int
 	// MinII is the resource/recurrence lower bound on the interval.
@@ -134,18 +131,6 @@ func (p *PortfolioStats) String() string {
 	return s
 }
 
-// portfolioCtxError builds the structured report for a portfolio run
-// abandoned by its context mid-race.
-func portfolioCtxError(ctx context.Context, k *ir.Kernel, m *machine.Machine) *CompileError {
-	kind, verb := KindCancelled, "cancelled"
-	if ctx.Err() == context.DeadlineExceeded {
-		kind, verb = KindDeadlineExceeded, "deadline exceeded"
-	}
-	ce := compileErrorf(PassPlace, "%s on %s: portfolio compilation %s", k.Name, m.Name, verb)
-	ce.Kind = kind
-	return ce
-}
-
 // cell is one (interval, variant) attempt of the race, written only by
 // the worker that ran it and read by the walk after the fan-out joins.
 type cell struct {
@@ -154,13 +139,16 @@ type cell struct {
 	err     error
 	clock   *obs.Clock    // private pass clock, folded by the walk
 	rec     *obs.Recorder // private trace, spliced by the walk
+	stats   Stats         // private search totals, folded by the walk
+	fail    placeFail     // where placement last stopped
 	wall    time.Duration
 }
 
 // CompilePortfolio schedules kernel k onto machine m by racing a
-// portfolio of scheduler configurations across a bounded worker pool.
-// The race walks the initiation intervals upward from MinII. At each
-// interval, up to min(Workers, len(variants)) workers run every
+// portfolio of scheduler configurations across a bounded worker pool:
+// it is CompileContext with the race (raceVariants) as its interval
+// search. The race walks the initiation intervals upward from MinII.
+// At each interval, up to min(Workers, len(variants)) workers run every
 // variant's single-interval attempt to completion, each into its own
 // cell; the walk then folds the cells in variant order and stops at
 // the first interval where any variant scheduled. Workers beyond the
@@ -175,35 +163,65 @@ type cell struct {
 // across runs and worker counts; only the PortfolioStats wall times
 // vary.
 //
-// A nil or background ctx disables external cancellation. The zero
-// Options value races the paper configuration against its four ablation
-// flips (DefaultVariants); existing Compile call sites are unaffected.
+// base.Degrade degrades a failed race exactly as it degrades
+// CompileContext: each rung races again, the default lineup derived
+// from the rung's options and a custom lineup with the rung applied to
+// every variant. A nil or background ctx disables external
+// cancellation. The zero Options value races the paper configuration
+// against its four ablation flips (DefaultVariants). The returned stats
+// are nil when the compile failed before the race began.
 func CompilePortfolio(ctx context.Context, k *ir.Kernel, m *machine.Machine, base Options, pf PortfolioOptions) (*Schedule, *PortfolioStats, error) {
-	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c := &Compilation{Kernel: k, Machine: m, Opts: base, clock: obs.NewClock()}
-	if err := base.ValidateFor(m); err != nil {
-		return nil, nil, c.decorate(err)
+	var r *race
+	s, err := degrade(ctx, base, func(ctx context.Context, rung *DegradeRung) (*Schedule, error) {
+		r = &race{pf: pf}
+		for _, v := range pf.Variants {
+			r.variants = append(r.variants, Variant{Name: v.Name, Opts: rung.apply(v.Opts)})
+		}
+		return compileOnce(ctx, k, m, rung.apply(base), r.raceVariants)
+	})
+	if r.stats != nil {
+		r.stats.Passes = r.c.passStats()
+		r.stats.Wall = r.c.clock.Elapsed()
 	}
-	variants := pf.Variants
+	return s, r.stats, err
+}
+
+// race is the portfolio's interval search for one configuration: its
+// raceVariants method is the searchStrategy, and it keeps the
+// compilation and the stats for CompilePortfolio to finish.
+type race struct {
+	pf       PortfolioOptions
+	variants []Variant // nil races DefaultVariants of the compile's options
+	c        *Compilation
+	stats    *PortfolioStats
+}
+
+// raceVariants is the race's searchStrategy. It validates the lineup
+// against the machine, then walks the intervals upward from MinII,
+// racing every variant's attempt at each one, and returns the winner
+// of the first interval where any variant scheduled. Each cell's pass
+// counters, placement attempts and failure record are folded into c,
+// agg and fail in variant order; the winning engine keeps its own
+// cell's counters.
+func (r *race) raceVariants(c *Compilation, cancel func() bool, agg *Stats, fail *placeFail) (*engine, int, bool, error) {
+	variants := r.variants
 	if len(variants) == 0 {
-		variants = DefaultVariants(base)
+		variants = DefaultVariants(c.Opts)
 	}
 	for _, v := range variants {
-		if err := v.Opts.ValidateFor(m); err != nil {
+		if err := v.Opts.ValidateFor(c.Machine); err != nil {
 			if ce, ok := err.(*CompileError); ok {
 				ce.Reason = fmt.Sprintf("variant %q: %s", v.Name, ce.Reason)
 			}
-			return nil, nil, c.decorate(err)
+			return nil, 0, false, err
 		}
 	}
-	if err := c.runPass(lowerPass{}); err != nil {
-		return nil, nil, c.decorate(err)
-	}
-	g, minII, maxII := c.Graph, c.MinII, c.MaxII
-	workers := pf.Workers
+	r.c = c
+	k, m, g := c.Kernel, c.Machine, c.Graph
+	workers := r.pf.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -212,7 +230,7 @@ func CompilePortfolio(ctx context.Context, k *ir.Kernel, m *machine.Machine, bas
 	// tracer nondeterministically, so each attempt records into a private
 	// child recorder, and the walk splices the streams of completed
 	// cells into the base tracer in (interval, variant) order.
-	tracer := base.Tracer
+	tracer := c.Opts.Tracer
 	if tracer != nil {
 		for i, v := range variants {
 			tracer.Emit(obs.Event{
@@ -223,7 +241,7 @@ func CompilePortfolio(ctx context.Context, k *ir.Kernel, m *machine.Machine, bas
 
 	stats := &PortfolioStats{
 		Workers:  workers,
-		MinII:    minII,
+		MinII:    c.MinII,
 		Winner:   -1,
 		Variants: make([]VariantStats, len(variants)),
 	}
@@ -231,11 +249,8 @@ func CompilePortfolio(ctx context.Context, k *ir.Kernel, m *machine.Machine, bas
 		stats.Variants[i].Name = v.Name
 		stats.Variants[i].Pipeline = v.Opts.Pipeline()
 	}
+	r.stats = stats
 
-	var cancel func() bool
-	if ctx.Done() != nil {
-		cancel = func() bool { return ctx.Err() != nil }
-	}
 	// run attempts one cell under panic isolation: a panic that escapes
 	// tryII's per-pass recovery (or one injected at the portfolio fault
 	// site) becomes a structured internal error instead of crashing the
@@ -259,7 +274,7 @@ func CompilePortfolio(ctx context.Context, k *ir.Kernel, m *machine.Machine, bas
 			}
 			cl.wall = time.Since(t0)
 		}()
-		if base.Faults.Probe(faultinject.SitePortfolio, variants[vi].Name) {
+		if c.Opts.Faults.Probe(faultinject.SitePortfolio, variants[vi].Name) {
 			return
 		}
 		opts := variants[vi].Opts
@@ -271,24 +286,19 @@ func CompilePortfolio(ctx context.Context, k *ir.Kernel, m *machine.Machine, bas
 		// configuration and interval for the walk's folds to be
 		// deterministic, which a memo shared across racing cells would
 		// break.
-		var scratch Stats
-		cl.eng, cl.aborted, cl.err = tryII(k, m, g, opts, ii, cancel, newPermMemo(), &scratch, cl.clock, nil)
+		cl.eng, cl.aborted, cl.err = tryII(k, m, g, opts, ii, cancel, newPermMemo(), &cl.stats, cl.clock, &cl.fail)
 	}
 
-	pool := pf.Pool
+	pool := r.pf.Pool
 	if pool == nil {
 		pool = NewPool(workers)
 	}
-	var passes PassStats
-	finish := func() {
-		stats.Passes = passStats(c.clock)
-		stats.Passes.Merge(passes)
-		stats.Passes.sortCanonical()
-		stats.Wall = time.Since(start)
-	}
+	cancelled := func() bool { return cancel != nil && cancel() }
 	cells := make([]cell, len(variants))
 	var chosen *engine
-	for ii := minII; ii <= maxII && chosen == nil && ctx.Err() == nil; ii++ {
+	ii := c.MinII - 1
+	for chosen == nil && ii < c.MaxII && !cancelled() {
+		ii++
 		clear(cells)
 		var next atomic.Int32
 		pool.Fan(min(workers, len(variants)), func(int) {
@@ -301,8 +311,12 @@ func CompilePortfolio(ctx context.Context, k *ir.Kernel, m *machine.Machine, bas
 		var cellErr error
 		for vi := range cells {
 			cl, vs := &cells[vi], &stats.Variants[vi]
-			passes.Merge(passStats(cl.clock))
+			c.cells.Merge(passStats(cl.clock))
 			vs.Wall += cl.wall
+			agg.Attempts += cl.stats.Attempts
+			if cl.fail.name != "" {
+				*fail = cl.fail
+			}
 			if cl.err != nil {
 				if cellErr == nil {
 					cellErr = cl.err
@@ -328,19 +342,14 @@ func CompilePortfolio(ctx context.Context, k *ir.Kernel, m *machine.Machine, bas
 			}
 		}
 		if cellErr != nil {
-			finish()
-			return nil, stats, c.decorate(cellErr)
+			return nil, ii, false, cellErr
 		}
 	}
-	if ctx.Err() != nil {
-		finish()
-		return nil, stats, c.decorate(portfolioCtxError(ctx, k, m))
+	if cancelled() {
+		return nil, max(ii, c.MinII), true, nil
 	}
 	if chosen == nil {
-		finish()
-		return nil, stats, c.decorate(compileErrorf(PassPlace,
-			"%s does not schedule on %s within II ≤ %d (portfolio of %d variants, %d attempts)",
-			k.Name, m.Name, maxII, len(variants), stats.IIsTried))
+		return nil, 0, false, nil
 	}
 	if tracer != nil {
 		tracer.Emit(obs.Event{
@@ -348,18 +357,5 @@ func CompilePortfolio(ctx context.Context, k *ir.Kernel, m *machine.Machine, bas
 			Op: int32(stats.Winner), II: int32(stats.WinnerII),
 		})
 	}
-	c.eng = chosen
-	c.II = stats.WinnerII
-	if err := c.runPass(regallocPass{}); err != nil {
-		finish()
-		return nil, stats, c.decorate(err)
-	}
-	if err := c.runPass(verifyPass{}); err != nil {
-		finish()
-		return nil, stats, c.decorate(err)
-	}
-	finish()
-	c.sched.Passes = stats.Passes
-	c.sched.Diags = c.Diags
-	return c.sched, stats, nil
+	return chosen, 0, false, nil
 }

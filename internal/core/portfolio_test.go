@@ -233,3 +233,32 @@ func TestPortfolioSelectionTieBreak(t *testing.T) {
 		t.Fatalf("tie must break to the lowest index, got winner %d (%s)", stats.Winner, stats.WinnerName())
 	}
 }
+
+// TestPortfolioDegrades pins that the portfolio honours Options.Degrade
+// like CompileContext does: one placement attempt per operation never
+// schedules fig4 on fig5 under any variant, so the race fails and the
+// stock ladder's first rung must rescue it with a verified schedule —
+// with the default lineup derived from the rung's options, and with a
+// custom lineup that the rung reconfigures variant by variant.
+func TestPortfolioDegrades(t *testing.T) {
+	opts := Options{AttemptBudget: 1, Degrade: DefaultDegradeLadder()}
+	for name, lineup := range map[string][]Variant{
+		"default": nil,
+		"custom":  {{Name: "only", Opts: Options{AttemptBudget: 1}}},
+	} {
+		s, stats, err := CompilePortfolio(context.Background(), kernels.Motivating(), machine.MotivatingExample(), opts,
+			PortfolioOptions{Workers: 2, Variants: lineup})
+		if err != nil {
+			t.Fatalf("%s lineup: %v", name, err)
+		}
+		if s.Degraded != "fast-search" {
+			t.Errorf("%s lineup: Degraded = %q, want fast-search", name, s.Degraded)
+		}
+		if err := VerifySchedule(s); err != nil {
+			t.Fatalf("%s lineup: verify: %v", name, err)
+		}
+		if stats == nil || stats.WinnerII != s.II {
+			t.Fatalf("%s lineup: stats must describe the rung's race: %+v vs II=%d", name, stats, s.II)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/depgraph"
 	"repro/internal/ir"
+	"repro/internal/obs"
 )
 
 // TestPermutationRepeatability checks the second §4.4 requirement on
@@ -19,15 +20,15 @@ func TestPermutationRepeatability(t *testing.T) {
 	for _, k := range kernels {
 		for _, m := range allMachines() {
 			g := depgraph.Build(k, m)
-			// Use the engine directly so the solver state stays alive.
+			// Keep the winning attempt's engine so the solver state
+			// stays alive; tryII runs the real prioritize and place
+			// passes.
 			var e *engine
 			for ii := 1; ii < 64; ii++ {
 				if !g.RecMIIFeasible(ii) {
 					continue
 				}
-				cand := newEngine(k, m, g, Options{}, ii)
-				if cand.scheduleBlock(ir.LoopBlock) && cand.scheduleBlock(ir.PreambleBlock) {
-					e = cand
+				if e, _, _ = tryII(k, m, g, Options{}, ii, nil, nil, &Stats{}, obs.NewClock(), nil); e != nil {
 					break
 				}
 			}

@@ -19,8 +19,8 @@ const attemptBudgetDefault = 128
 
 // Options tune the scheduler. The zero value gives the configuration
 // used for the paper's results; the ablation switches reproduce the
-// §4.6 design-choice comparisons (Options.Pipeline expresses them as a
-// pipeline configuration).
+// §4.6 design-choice comparisons (Options.Pipeline renders them as a
+// pipeline shape).
 type Options struct {
 	// MaxII caps the initiation-interval search; 0 derives a generous
 	// bound from the loop size.
@@ -187,12 +187,21 @@ func Compile(k *ir.Kernel, m *machine.Machine, opts Options) (*Schedule, error) 
 	return CompileContext(context.Background(), k, m, opts)
 }
 
-// compileOnce runs one full compilation of the primary (or one rung's)
-// configuration, observing ctx cooperatively: the cancellation hook is
+// searchStrategy is an interval search over tryII: runLadder for one
+// configuration, or the portfolio's race over several. It returns the
+// winning engine (nil when nothing scheduled) or, when the cancellation
+// hook aborted it, the interval it was trying; a non-nil error is an
+// internal failure. agg and fail collect what the failure reports
+// need: the placement attempts and where placement last stopped.
+type searchStrategy func(c *Compilation, cancel func() bool, agg *Stats, fail *placeFail) (good *engine, abortII int, aborted bool, err error)
+
+// compileOnce is the compile driver for one configuration, the primary
+// one or one rung's: validate → lower → interval search → regalloc →
+// verify. It observes ctx cooperatively: the cancellation hook is
 // armed only when ctx can actually be cancelled, so a background
 // context compiles on the exact pre-cancellation code path and
 // schedules stay bit-identical to it.
-func compileOnce(ctx context.Context, k *ir.Kernel, m *machine.Machine, opts Options) (*Schedule, error) {
+func compileOnce(ctx context.Context, k *ir.Kernel, m *machine.Machine, opts Options, search searchStrategy) (*Schedule, error) {
 	c := &Compilation{Kernel: k, Machine: m, Opts: opts, clock: obs.NewClock()}
 	if err := opts.ValidateFor(m); err != nil {
 		return nil, c.decorate(err)
@@ -206,7 +215,7 @@ func compileOnce(ctx context.Context, k *ir.Kernel, m *machine.Machine, opts Opt
 	}
 	var agg Stats
 	var lastFail placeFail
-	good, abortII, aborted, searchErr := runLadder(c, cancel, &agg, &lastFail)
+	good, abortII, aborted, searchErr := search(c, cancel, &agg, &lastFail)
 	if searchErr != nil {
 		return nil, c.decorate(searchErr)
 	}
@@ -216,9 +225,6 @@ func compileOnce(ctx context.Context, k *ir.Kernel, m *machine.Machine, opts Opt
 	if good == nil {
 		return nil, c.decorate(scheduleFailure(c, agg, lastFail))
 	}
-	good.stats.IIsTried = agg.IIsTried
-	good.stats.Backtracks += agg.Backtracks
-	good.stats.MemoHits += agg.MemoHits
 	c.eng = good
 	c.II = good.ii
 	if err := c.runPass(regallocPass{}); err != nil {
@@ -227,7 +233,7 @@ func compileOnce(ctx context.Context, k *ir.Kernel, m *machine.Machine, opts Opt
 	if err := c.runPass(verifyPass{}); err != nil {
 		return nil, c.decorate(err)
 	}
-	c.sched.Passes = passStats(c.clock)
+	c.sched.Passes = c.passStats()
 	c.sched.Diags = c.Diags
 	return c.sched, nil
 }
@@ -361,26 +367,6 @@ func tryII(k *ir.Kernel, m *machine.Machine, g *depgraph.Graph, opts Options, ii
 		return nil, false, failed
 	}
 	return nil, e.aborted, nil
-}
-
-// scheduleBlock schedules one block's operations in priority order —
-// the pre-pipeline entry point, kept for white-box tests that drive a
-// single block directly; tryII runs the equivalent prioritize /
-// preassign / place passes instead.
-func (e *engine) scheduleBlock(block ir.BlockKind) bool {
-	order := e.graph.PriorityOrder(block)
-	if e.opts.CycleOrder {
-		order = e.cycleOrder(block)
-	}
-	if e.opts.TwoPhase {
-		e.preassign(order)
-	}
-	for _, id := range order {
-		if e.cancelled() || !e.scheduleOp(id) {
-			return false
-		}
-	}
-	return true
 }
 
 // preassign binds each operation to one unit ahead of cycle scheduling

@@ -3,9 +3,10 @@ package core
 // This file is the initiation-interval search of a single-configuration
 // compilation: an escalating probe up to the first interval that
 // schedules, followed by binary refinement back down to the smallest
-// one. Refinement assumes feasibility is monotone in the interval;
-// CompilePortfolio's variant race does not have that property and
-// walks the intervals linearly instead (portfolio.go).
+// one. It is the searchStrategy of CompileContext. Refinement assumes
+// feasibility is monotone in the interval; CompilePortfolio's variant
+// race does not have that property and walks the intervals linearly
+// instead (raceVariants in portfolio.go).
 
 // probeSequence reproduces the escalating probe ladder: when small
 // intervals fail, the step grows so communication-bound kernels (whose
@@ -29,8 +30,10 @@ func probeSequence(minII, maxII int) []int {
 // feasible interval, then refine back down to the smallest one that
 // schedules. Every attempt runs tryII with the given cancellation hook,
 // folding its accounting into agg and fail and clocking its passes on
-// the compilation's own clock. It returns the winning engine (nil when nothing scheduled),
-// and on abort the interval the walk was trying.
+// the compilation's own clock. It returns the winning engine (nil when
+// nothing scheduled), with the walk's interval, backtrack and memo
+// totals folded into its stats, and on abort the interval the walk was
+// trying.
 func runLadder(c *Compilation, cancel func() bool, agg *Stats, fail *placeFail) (good *engine, abortII int, aborted bool, err error) {
 	// One infeasibility memo per walk: dead ends proven at one interval
 	// short-circuit every later interval that re-poses them.
@@ -71,5 +74,8 @@ func runLadder(c *Compilation, cancel func() bool, agg *Stats, fail *placeFail) 
 			failedBelow = mid + 1
 		}
 	}
+	good.stats.IIsTried = agg.IIsTried
+	good.stats.Backtracks += agg.Backtracks
+	good.stats.MemoHits += agg.MemoHits
 	return good, 0, false, nil
 }

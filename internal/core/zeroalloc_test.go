@@ -6,6 +6,7 @@ import (
 	"repro/internal/depgraph"
 	"repro/internal/ir"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/rules"
 )
 
@@ -28,10 +29,7 @@ func TestSolverHotPathZeroAlloc(t *testing.T) {
 			if !g.RecMIIFeasible(ii) {
 				continue
 			}
-			cand := newEngine(k, m, g, Options{}, ii)
-			if cand.scheduleBlock(ir.LoopBlock) && cand.scheduleBlock(ir.PreambleBlock) {
-				e = cand
-			}
+			e, _, _ = tryII(k, m, g, Options{}, ii, nil, nil, &Stats{}, obs.NewClock(), nil)
 		}
 		if e == nil {
 			t.Fatalf("%s: did not schedule", m.Name)

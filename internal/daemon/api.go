@@ -106,7 +106,7 @@ func (s *OptionsSpec) options() core.Options {
 }
 
 // RungSpec is the JSON form of one degradation-ladder rung
-// (core.DegradeRung). Greedy selects the cheap cycle-order pipeline
+// (core.DegradeRung). Greedy selects the cheapest pipeline: cycle order
 // without the cost heuristic.
 type RungSpec struct {
 	Name          string `json:"name"`
@@ -125,18 +125,15 @@ func ladder(specs []RungSpec) *core.DegradeLadder {
 	}
 	l := &core.DegradeLadder{Rungs: make([]core.DegradeRung, len(specs))}
 	for i, s := range specs {
-		r := core.DegradeRung{
+		l.Rungs[i] = core.DegradeRung{
 			Name:          s.Name,
+			Greedy:        s.Greedy,
 			MaxII:         s.MaxII,
 			MaxIIBoost:    s.MaxIIBoost,
 			PermBudget:    s.PermBudget,
 			AttemptBudget: s.AttemptBudget,
 			ScanWindow:    s.ScanWindow,
 		}
-		if s.Greedy {
-			r.Pipeline = &core.PipelineConfig{Order: core.OrderCycle, Preassign: false, CostHeuristic: false}
-		}
-		l.Rungs[i] = r
 	}
 	return l
 }

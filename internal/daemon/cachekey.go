@@ -53,10 +53,13 @@ func fingerprintHex(s *core.Schedule) string {
 // wins.
 func canonicalConfig(opts core.Options, portfolio bool) string {
 	o := opts.Canonical()
-	pc := o.Pipeline()
+	order := "priority"
+	if o.CycleOrder {
+		order = "cycle"
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "order=%s preassign=%t cost=%t regaware=%t\n",
-		pc.Order, pc.Preassign, pc.CostHeuristic, pc.RegisterAware)
+		order, o.TwoPhase, !o.NoCostHeuristic, o.RegisterAware)
 	fmt.Fprintf(&b, "maxii=%d perm=%d cand=%d scan=%d attempt=%d\n",
 		o.MaxII, o.PermBudget, o.MaxCandidates, o.ScanWindow, o.AttemptBudget)
 	fmt.Fprintf(&b, "portfolio=%t\n", portfolio)
@@ -64,9 +67,8 @@ func canonicalConfig(opts core.Options, portfolio bool) string {
 		for _, r := range o.Degrade.Rungs {
 			fmt.Fprintf(&b, "rung name=%s maxii=%d boost=%d perm=%d attempt=%d scan=%d",
 				r.Name, r.MaxII, r.MaxIIBoost, r.PermBudget, r.AttemptBudget, r.ScanWindow)
-			if r.Pipeline != nil {
-				fmt.Fprintf(&b, " order=%s preassign=%t cost=%t regaware=%t",
-					r.Pipeline.Order, r.Pipeline.Preassign, r.Pipeline.CostHeuristic, r.Pipeline.RegisterAware)
+			if r.Greedy {
+				b.WriteString(" order=cycle preassign=false cost=false regaware=false")
 			}
 			b.WriteByte('\n')
 		}

@@ -32,26 +32,28 @@ func rungLadders() map[string][]RungSpec {
 }
 
 // TestDegradePerRungSuccess drives each ladder rung to be the one that
-// rescues a failing compilation, and pins the response's degraded
-// marker to the winning rung's name.
+// rescues a failing compilation, sequential and portfolio alike, and
+// pins the response's degraded marker to the winning rung's name.
 func TestDegradePerRungSuccess(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for name, rungs := range rungLadders() {
 		t.Run(name, func(t *testing.T) {
-			req := CompileRequest{Kernel: "fig4", Machine: "fig5", Options: failBase, Ladder: rungs}
-			status, _, body := postCompile(t, ts, req)
-			if status != http.StatusOK {
-				t.Fatalf("compile: %d\n%s", status, body)
-			}
-			var cr CompileResponse
-			if err := json.Unmarshal(body, &cr); err != nil {
-				t.Fatal(err)
-			}
-			if cr.Degraded != name {
-				t.Errorf("degraded = %q, want %q", cr.Degraded, name)
-			}
-			if cr.II <= 0 {
-				t.Errorf("rung %s produced no schedule (ii %d)", name, cr.II)
+			for _, portfolio := range []bool{false, true} {
+				req := CompileRequest{Kernel: "fig4", Machine: "fig5", Options: failBase, Ladder: rungs, Portfolio: portfolio}
+				status, _, body := postCompile(t, ts, req)
+				if status != http.StatusOK {
+					t.Fatalf("compile (portfolio %t): %d\n%s", portfolio, status, body)
+				}
+				var cr CompileResponse
+				if err := json.Unmarshal(body, &cr); err != nil {
+					t.Fatal(err)
+				}
+				if cr.Degraded != name {
+					t.Errorf("portfolio %t: degraded = %q, want %q", portfolio, cr.Degraded, name)
+				}
+				if cr.II <= 0 {
+					t.Errorf("portfolio %t: rung %s produced no schedule (ii %d)", portfolio, name, cr.II)
+				}
 			}
 		})
 	}

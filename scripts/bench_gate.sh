@@ -4,8 +4,9 @@
 #
 #   scripts/bench_gate.sh <base-ref>
 #
-# It checks <base-ref> out into a git worktree under .bench_build/ and
-# runs bench/run.sh untraced on compile-hard and compile-light, with seed
+# It checks <base-ref> out into a git worktree under .bench_build/, whose
+# Go build cache is a link to the working tree's, and runs bench/run.sh
+# untraced on compile-hard and compile-light, with seed
 # 1 and BENCHMARK.json's run_seconds, once in the base and once in the
 # working tree. It fails when the working tree's alloc_mb_per_op, ii_sum
 # or copies_sum is worse than the base's by more than that metric's bound
@@ -37,6 +38,13 @@ git worktree remove --force "$base" 2>/dev/null || rm -rf "$base"
 git worktree prune
 git worktree add --quiet --detach "$base" "$1"
 trap 'git -C "$head" worktree remove --force "$base"' EXIT
+
+# bench/run.sh keeps its Go build cache under the directory it runs in,
+# so the new base worktree would build the benchmark cold every time.
+# Point the base's cache at the working tree's instead: Go's cache is
+# content-addressed, so sharing it changes no build output.
+mkdir -p "$head/.bench_build/gocache" "$base/.bench_build"
+ln -s "$head/.bench_build/gocache" "$base/.bench_build/gocache"
 
 # run SIDE DIR WORKLOAD TRACE runs one workload in DIR. Its standard
 # output goes to $out/SIDE-WORKLOAD-tTRACE.out, and its last line, the
