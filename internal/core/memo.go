@@ -8,24 +8,33 @@ import (
 )
 
 // This file implements the per-compilation infeasibility memo: hashed
-// signatures of §4.4 stub-permutation problems already proven
-// unsatisfiable, so the solver never re-proves a dead end. The same
+// signatures of §4.4 stub-permutation problems whose search already
+// failed, so the solver never runs a lost search again. The same
 // permutation state recurs constantly — across the placement retries of
 // one interval attempt (an operation rejected at one cycle re-poses
 // many of the same per-cycle solves at the next) and across the
 // initiation intervals of the ladder — and a failed solve may burn
-// thousands of DFS steps re-deriving the same exhaustion each time.
+// thousands of DFS steps re-deriving the same failure each time.
 //
-// Soundness rests on two rules. First, the signature covers the
+// Soundness rests on three rules. First, the signature covers the
 // complete solve problem: a domain tag (writes vs reads), every
 // obstacle placement (stub identity plus value instance plus, for
 // reads, the operand nonce), and every flex item with its value
 // instance and the full contents of its ordered candidate list — pin
 // filters and sibling-bus promotion reshape those lists, so two solves
-// with equal obstacles but different candidate sets hash apart. Second,
-// only completed failures are recorded: a search abandoned by budget
-// exhaustion, by cooperative cancellation, or by an injected fault
-// proves nothing and must not poison the memo. A hit therefore
+// with equal obstacles but different candidate sets hash apart.
+// Second, a failure is keyed on exactly what decided it. A search that
+// ran to completion proved the problem infeasible whatever order it
+// tried the items in, so a proven entry is keyed on the signature
+// alone. A search that ran out of its step budget is a deterministic
+// function of the problem, the DFS order and the budget, so an
+// exhausted entry is keyed on the signature extended with each flex
+// item's sort key (closing flag, copy range) in construction order —
+// which fixes the stable sort's permutation — and the budget. Third,
+// only real failures are recorded: a search stopped by cooperative
+// cancellation or by an injected fault proves nothing and must not
+// poison the memo (solverStep leaves the budget at budgetFaulted for
+// the latter, never at the 0 of a real exhaustion). A hit therefore
 // short-circuits exactly the searches that were going to fail anyway,
 // which is why schedules stay bit-identical with the memo on: the
 // success path never changes, and a failure returns false either way.
@@ -83,10 +92,31 @@ func (s *memoSig) mixReadStub(r machine.ReadStub) {
 	s.mix(uint64(uint32(r.Slot)))
 }
 
-// key finalizes the signature.
+// mixOrder folds one flex item's sort key: its closing flag and copy
+// range.
+func (s *memoSig) mixOrder(closing bool, rangeW int) {
+	c := uint64(0)
+	if closing {
+		c = 1
+	}
+	s.mix(uint64(rangeW)<<1 | c)
+}
+
+// key finalizes the signature as the key of a proven dead end.
 func (s *memoSig) key() memoKey {
 	t := *s
 	t.mix(0x2545F4914F6CDD1D)
+	return memoKey{a: t.a, b: t.b}
+}
+
+// exhaustedKey finalizes the signature, extended by mixOrder with every
+// flex item in construction order, as the key of a search that ran out
+// of budget steps. The distinct final word keeps it apart from every
+// proven key.
+func (s *memoSig) exhaustedKey(budget int) memoKey {
+	t := *s
+	t.mix(uint64(budget))
+	t.mix(0x9E6C63D0676A9A99)
 	return memoKey{a: t.a, b: t.b}
 }
 
@@ -96,12 +126,13 @@ func (s *memoSig) key() memoKey {
 // memo near 32 MiB on a degenerate compilation.
 const memoEntryCap = 1 << 21
 
-// permMemo is the infeasibility memo of one compilation. Each memo has
-// one owner goroutine — the ladder, or one portfolio cell — so the
-// mutex costs one uncontended lock per failed or memoized solve; it
-// stays so that the memo is safe to share if a caller ever does. An
-// entry only ever replaces a search with the failure it was bound to
-// reach, so sharing could never change an interval's outcome.
+// permMemo is the infeasibility memo of one compilation. Proven and
+// exhausted entries share one set; their keys never coincide. Each
+// memo has one owner goroutine — the ladder, or one portfolio cell —
+// so the mutex costs one uncontended lock per failed or memoized
+// solve; it stays so that the memo is safe to share if a caller ever
+// does. An entry only ever replaces a search with the failure it was
+// bound to reach, so sharing could never change an interval's outcome.
 type permMemo struct {
 	mu   sync.Mutex
 	seen map[memoKey]struct{}
@@ -111,21 +142,50 @@ func newPermMemo() *permMemo {
 	return &permMemo{seen: make(map[memoKey]struct{})}
 }
 
-// hit reports whether k is a recorded dead end.
-func (m *permMemo) hit(k memoKey) bool {
+// hit reports whether the solve with these keys already failed: proven
+// infeasible, or exhausted in the same order under the same budget.
+func (m *permMemo) hit(proven, exhausted memoKey) bool {
 	m.mu.Lock()
-	_, ok := m.seen[k]
+	_, ok := m.seen[proven]
+	if !ok {
+		_, ok = m.seen[exhausted]
+	}
 	m.mu.Unlock()
 	return ok
 }
 
-// record marks k as a proven dead end.
+// record marks k as a failed solve.
 func (m *permMemo) record(k memoKey) {
 	m.mu.Lock()
 	if len(m.seen) < memoEntryCap {
 		m.seen[k] = struct{}{}
 	}
 	m.mu.Unlock()
+}
+
+// memoHit consults the memo before a search, counting and tracing a
+// hit.
+func (e *engine) memoHit(proven, exhausted memoKey) bool {
+	if !e.memo.hit(proven, exhausted) {
+		return false
+	}
+	e.stats.MemoHits++
+	e.tracePermMemo()
+	return true
+}
+
+// memoRecord records a failed search by how it ended: with budget left
+// it proved the problem infeasible; with the budget at exactly 0 it ran
+// out of steps. A cancelled search (aborted) and an injected exhaustion
+// (budget at budgetFaulted) record nothing.
+func (e *engine) memoRecord(proven, exhausted memoKey, budget int) {
+	switch {
+	case e.aborted:
+	case budget > 0:
+		e.memo.record(proven)
+	case budget == 0:
+		e.memo.record(exhausted)
+	}
 }
 
 // Candidate-list hashing. A flex item's signature must cover the full

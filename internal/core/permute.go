@@ -185,20 +185,26 @@ func (e *engine) solveWrites(key tKey, pin CommID, pinRF machine.RFID) bool {
 			val:     val,
 		})
 	}
+	// The search order is the sort's permutation of construction order,
+	// so an exhausted search is keyed on the items' sort keys taken
+	// before the sort.
+	var proven, exhausted memoKey
+	if memo != nil {
+		proven = sig.key()
+		for i := range flex {
+			sig.mixOrder(flex[i].closing, flex[i].rangeW)
+		}
+		exhausted = sig.exhaustedKey(e.permBudget())
+	}
 	// Stable insertion sort: closing first, then smallest copy range.
 	for i := 1; i < len(flex); i++ {
 		for j := i; j > 0 && flexLess(flex[j].closing, flex[j].rangeW, flex[j-1].closing, flex[j-1].rangeW); j-- {
 			flex[j], flex[j-1] = flex[j-1], flex[j]
 		}
 	}
-	var mk memoKey
-	if memo != nil {
-		if mk = sig.key(); memo.hit(mk) {
-			e.stats.MemoHits++
-			e.tracePermMemo()
-			o.Undo(undo)
-			return false
-		}
+	if memo != nil && e.memoHit(proven, exhausted) {
+		o.Undo(undo)
+		return false
 	}
 	budget := e.solveBudget()
 	choice := e.choiceScratch(len(flex))
@@ -206,11 +212,8 @@ func (e *engine) solveWrites(key tKey, pin CommID, pinRF machine.RFID) bool {
 	undo = undoAll
 	o.Undo(undo)
 	if !okAll {
-		// Record only completed failures: a search abandoned by budget
-		// exhaustion (real or fault-injected, both leave budget at 0) or
-		// by cancellation proves nothing about the problem.
-		if memo != nil && budget > 0 && !e.aborted {
-			memo.record(mk)
+		if memo != nil {
+			e.memoRecord(proven, exhausted, budget)
 		}
 		return false
 	}
@@ -293,19 +296,22 @@ func (e *engine) solveReads(key tKey, pin OperandKey, pinRF machine.RFID) bool {
 			key: ok, base: base, cands: idx, closing: closing, rangeW: rangeW, val: val,
 		})
 	}
+	var proven, exhausted memoKey
+	if memo != nil {
+		proven = sig.key()
+		for i := range flex {
+			sig.mixOrder(flex[i].closing, flex[i].rangeW)
+		}
+		exhausted = sig.exhaustedKey(e.permBudget())
+	}
 	for i := 1; i < len(flex); i++ {
 		for j := i; j > 0 && flexLess(flex[j].closing, flex[j].rangeW, flex[j-1].closing, flex[j-1].rangeW); j-- {
 			flex[j], flex[j-1] = flex[j-1], flex[j]
 		}
 	}
-	var mk memoKey
-	if memo != nil {
-		if mk = sig.key(); memo.hit(mk) {
-			e.stats.MemoHits++
-			e.tracePermMemo()
-			o.Undo(undo)
-			return false
-		}
+	if memo != nil && e.memoHit(proven, exhausted) {
+		o.Undo(undo)
+		return false
 	}
 	budget := e.solveBudget()
 	choice := e.choiceScratch(len(flex))
@@ -313,9 +319,8 @@ func (e *engine) solveReads(key tKey, pin OperandKey, pinRF machine.RFID) bool {
 	undo = undoAll
 	o.Undo(undo)
 	if !okAll {
-		// Record only completed failures (see solveWrites).
-		if memo != nil && budget > 0 && !e.aborted {
-			memo.record(mk)
+		if memo != nil {
+			e.memoRecord(proven, exhausted, budget)
 		}
 		return false
 	}
@@ -374,6 +379,11 @@ func (e *engine) solveBudget() int {
 // while the steady-state per-step cost stays one branch.
 const cancelPollInterval = 64
 
+// budgetFaulted is the budget a search is left with when the fault
+// plane forces its exhaustion: below zero, so the memo can tell it from
+// a real exhaustion (budget 0) and record nothing.
+const budgetFaulted = -1
+
 // solverStep accounts one §4.4 permutation-search step and reports
 // whether the search may continue: false on budget exhaustion, on
 // observed cancellation, or when the fault plane injects a forced
@@ -391,7 +401,7 @@ func (e *engine) solverStep(budget *int) bool {
 			return false
 		}
 		if e.faults != nil && e.faults.Probe(faultinject.SiteSolver, "") {
-			*budget = 0
+			*budget = budgetFaulted
 			return false
 		}
 	}

@@ -204,8 +204,9 @@ type race struct {
 // racing every variant's attempt at each one, and returns the winner
 // of the first interval where any variant scheduled. Each cell's pass
 // counters, placement attempts and failure record are folded into c,
-// agg and fail in variant order; the winning engine keeps its own
-// cell's counters.
+// agg and fail in variant order, and the winning engine gets the
+// race's totals as runLadder's winner gets its walk's: the completed
+// cells, their backtracks and their memo hits.
 func (r *race) raceVariants(c *Compilation, cancel func() bool, agg *Stats, fail *placeFail) (*engine, int, bool, error) {
 	variants := r.variants
 	if len(variants) == 0 {
@@ -328,6 +329,8 @@ func (r *race) raceVariants(c *Compilation, cancel func() bool, agg *Stats, fail
 			}
 			vs.IIsTried++
 			stats.IIsTried++
+			agg.Backtracks += cl.stats.Backtracks
+			agg.MemoHits += cl.stats.MemoHits
 			if cl.rec != nil {
 				for _, ev := range cl.rec.Events() {
 					ev.Seq = 0
@@ -357,5 +360,7 @@ func (r *race) raceVariants(c *Compilation, cancel func() bool, agg *Stats, fail
 			Op: int32(stats.Winner), II: int32(stats.WinnerII),
 		})
 	}
+	agg.IIsTried = stats.IIsTried
+	chosen.foldSearch(agg)
 	return chosen, 0, false, nil
 }

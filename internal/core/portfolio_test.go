@@ -234,6 +234,20 @@ func TestPortfolioSelectionTieBreak(t *testing.T) {
 	}
 }
 
+// TestPortfolioWinnerCountsRace pins that a portfolio schedule's Stats
+// count the whole race, as a ladder schedule's count its walk: fig4 on
+// fig5 races five cells before one schedules.
+func TestPortfolioWinnerCountsRace(t *testing.T) {
+	s, stats, err := CompilePortfolio(context.Background(), kernels.Motivating(), machine.MotivatingExample(), Options{},
+		PortfolioOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Stats.IIsTried != 5 || stats.IIsTried != 5 {
+		t.Fatalf("Stats.IIsTried = %d, PortfolioStats.IIsTried = %d, want 5 and 5", s.Stats.IIsTried, stats.IIsTried)
+	}
+}
+
 // TestPortfolioDegrades pins that the portfolio honours Options.Degrade
 // like CompileContext does: one placement attempt per operation never
 // schedules fig4 on fig5 under any variant, so the race fails and the

@@ -74,8 +74,15 @@ func runLadder(c *Compilation, cancel func() bool, agg *Stats, fail *placeFail) 
 			failedBelow = mid + 1
 		}
 	}
-	good.stats.IIsTried = agg.IIsTried
-	good.stats.Backtracks += agg.Backtracks
-	good.stats.MemoHits += agg.MemoHits
+	good.foldSearch(agg)
 	return good, 0, false, nil
+}
+
+// foldSearch folds an interval search's totals into its winning engine:
+// the intervals tried, and the backtracks and memo hits of the failed
+// attempts.
+func (e *engine) foldSearch(agg *Stats) {
+	e.stats.IIsTried = agg.IIsTried
+	e.stats.Backtracks += agg.Backtracks
+	e.stats.MemoHits += agg.MemoHits
 }

@@ -55,8 +55,8 @@ type Stats struct {
 	// file and fell back to unrestricted choice.
 	PressureOverflows int
 	// MemoHits counts §4.4 solves short-circuited by the infeasibility
-	// memo: permutation problems whose signature matched a dead end
-	// already proven this compilation.
+	// memo: permutation problems whose search already failed this
+	// compilation, proven infeasible or out of budget in the same order.
 	MemoHits int
 }
 
